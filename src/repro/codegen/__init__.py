@@ -17,7 +17,7 @@ from .generator import (
     VerificationError,
 )
 from .naming import NameAllocator
-from .parallel import BatchGenerationError, TemplateFailure, WorkerPool, resolve_jobs
+from .parallel import BatchGenerationError, TemplateFailure, resolve_jobs
 from .project import TargetProject
 from .selector import ChainPlan, GenerationError, InstancePlan, select
 from .shorthand import FLUENT_ALIASES, JCA, RULE_CONSTANTS
@@ -51,7 +51,6 @@ __all__ = [
     "TemplateError",
     "TemplateFailure",
     "VerificationError",
-    "WorkerPool",
     "resolve_jobs",
     "TemplateModel",
     "parse_template_file",

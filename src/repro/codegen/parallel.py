@@ -1,14 +1,12 @@
-"""Parallel batch generation: fan templates out over worker processes.
+"""Batch generation: one template batch, serial or over worker processes.
 
-``CrySLBasedCodeGenerator.generate_many(jobs=N)`` routes through
-:func:`run_parallel`, which distributes templates over a
-``ProcessPoolExecutor``. The design constraints, in order:
+``CrySLBasedCodeGenerator.generate_many`` and the engine's batch path
+route through :func:`run_batch`, which turns each template into a
+template task and runs the batch on the shared task machinery of
+:mod:`repro.workers` — in-process for ``jobs=1``, else on a supervised
+forkserver pool (the caller's resident one, or a transient one). The
+guarantees, in order:
 
-* **Warm-started workers.** Each worker's initializer rebuilds the
-  parent's (frozen) rule set once, attaches the same on-disk artefact
-  store (:mod:`repro.cache`), and touches every rule — so a worker
-  with a primed disk cache performs zero DFA builds and zero path
-  enumerations before its first template.
 * **Deterministic ordering.** Results land at their submission index
   regardless of completion order; ``jobs=4`` returns byte-identical
   modules in the same order as ``jobs=1``.
@@ -20,39 +18,34 @@
   :class:`BatchGenerationError` carrying both the failures and the
   successful modules. Unexpected exceptions still propagate.
 * **Merged diagnostics.** Every returned module carries its own run
-  diagnostics (stage timings, cascade tiers); the parent merges them —
-  plus each worker's one-time warm-start counters — into its
-  cumulative ``context.diagnostics``, so ``--stats`` totals stay
-  accurate in parallel runs.
-
-Workers hold module-level state (one generator each), initialised via
-the pool's ``initializer`` hook; task payloads are template paths or
-source text, never parsed models, so nothing fragile crosses the
-process boundary on the way in.
+  diagnostics (stage timings, cascade tiers); the parent merges the
+  worker-produced ones — plus each worker's one-time warm-start
+  counters — into its cumulative ``context.diagnostics``, so
+  ``--stats`` totals stay accurate in parallel runs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from .. import faults
+from ..crysl import CrySLError
 from .selector import GenerationError
+from .template import TemplateError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..crysl.ast import Rule
+    from ..workers import SupervisedWorkerPool
     from .generator import CrySLBasedCodeGenerator, GeneratedModule
     from .template import TemplateModel
 
 #: Environment variable consulted when ``jobs`` is not passed explicitly.
 JOBS_ENV = "REPRO_JOBS"
+
+#: Error types a task turns into a :class:`TemplateFailure`; mirrors the
+#: CLI's per-template error handling.
+RECOVERABLE_ERRORS = (GenerationError, CrySLError, TemplateError, OSError)
 
 
 @dataclass(frozen=True)
@@ -88,28 +81,6 @@ class BatchGenerationError(GenerationError):
         )
 
 
-@dataclass
-class TaskOutcome:
-    """One batch item's result, normalized across execution backends.
-
-    Worker processes produce these from :func:`_run_task` tuples (with
-    their resident-set size piggybacked for the supervisor's memory
-    ceiling); the supervisor's in-process serial fallback produces them
-    directly, flagged ``in_process`` so the drain loop does not merge
-    their diagnostics a second time (in-process generation already
-    records into the shared context).
-    """
-
-    index: int
-    module: "GeneratedModule | None"
-    failure: TemplateFailure | None
-    init_counters: dict | None = None
-    #: the producing worker's peak RSS in MiB (0 for in-process runs)
-    rss_mb: float = 0.0
-    #: True when produced in the parent (supervisor serial fallback)
-    in_process: bool = False
-
-
 def resolve_jobs(jobs: int | None = None) -> int:
     """The effective worker count: explicit arg, else ``$REPRO_JOBS``, else 1."""
     if jobs is None:
@@ -128,399 +99,65 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def task_spec(model: "TemplateModel | str | Path") -> tuple[str, str, str]:
-    """Normalize one batch item to a picklable ``(kind, payload, name)``."""
+def template_task(
+    model: "TemplateModel | str | Path", verify: bool
+) -> tuple[str, str, str, bool]:
+    """One batch item as a picklable ``(kind, payload, name, verify)`` task."""
     if isinstance(model, (str, Path)):
-        return ("path", str(model), str(model))
-    return ("source", model.source, model.path)
+        return ("path", str(model), str(model), verify)
+    return ("source", model.source, model.path, verify)
 
 
-# ---------------------------------------------------------------------------
-# worker-side machinery (module-level so the pool can pickle references)
-# ---------------------------------------------------------------------------
-
-#: Per-worker state: the warm generator plus the one-shot init report.
-_WORKER: dict = {}
-
-#: Error types a worker converts into TemplateFailure records. Mirrors
-#: the CLI's per-template error handling.
-def _recoverable_errors() -> tuple:
-    from ..crysl import CrySLError
-    from .template import TemplateError
-
-    return (GenerationError, CrySLError, TemplateError, OSError)
-
-
-def _init_worker(
-    rules_payload: "tuple[tuple[Rule, str | None], ...]",
-    cache_dir: str | None,
-    max_paths: int | None,
-    verify: bool = False,
-    fault_spec: str | None = None,
-) -> None:
-    """Build this worker's warm generator (runs once per process).
-
-    The frozen rule set is rebuilt from the parent's rules; with a
-    ``cache_dir`` every rule is touched once so its artefacts load from
-    the disk store up front — the warm start the batch engine promises.
-    """
-    from ..crysl.ruleset import RuleSet
-    from .context import GenerationContext
-    from .generator import CrySLBasedCodeGenerator
-
-    # The parent's active fault plan arrives as an explicit initarg —
-    # forkserver/spawn workers inherit the environment the start-method
-    # server froze at launch, so a spec set in the parent afterwards
-    # would be invisible here. The environment is only a fallback.
-    if fault_spec is not None:
-        faults.configure(fault_spec)
-    elif faults.FAULTS_ENV in os.environ:
-        faults.configure(os.environ[faults.FAULTS_ENV] or None)
-
-    ruleset = RuleSet()
-    for rule, source in rules_payload:
-        ruleset.add(rule, source=source)
-    ruleset.freeze()
-    if cache_dir is not None:
-        from ..cache import DiskRuleCache
-
-        ruleset.attach_disk_cache(DiskRuleCache(cache_dir))
-        for rule in ruleset:
-            ruleset.compiled(rule, max_paths=max_paths)
-    context = GenerationContext(ruleset=ruleset, max_paths=max_paths)
-    _WORKER["generator"] = CrySLBasedCodeGenerator(context=context, verify=verify)
-    _WORKER["init_stats"] = ruleset.compile_stats.snapshot()
-    _WORKER["init_reported"] = False
-
-
-def _worker_rss_mb() -> float:
-    """This process's peak resident-set size in MiB (0 if unknown)."""
-    try:
-        import resource
-
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except (ImportError, OSError):  # pragma: no cover - non-POSIX
-        return 0.0
-    # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
-
-
-def _run_task(
-    index: int, kind: str, payload: str, name: str
-) -> "tuple[int, GeneratedModule | None, TemplateFailure | None, dict | None, float]":
-    """Generate one template in this worker; never raises for
-    recoverable pipeline errors.
-
-    Two fault points live here, exercised only inside real pool
-    workers: ``worker_crash`` kills the process outright (the parent
-    sees ``BrokenProcessPool``; the supervisor absorbs it) and
-    ``slow_task`` stalls the task. The supervisor's serial fallback
-    never enters this function, so a crash plan cannot kill the parent.
-    """
-    from ..diagnostics import DISK_EVICTIONS, DISK_HITS, DISK_MISSES
-
-    faults.maybe_crash("worker_crash")
-    faults.maybe_sleep("slow_task")
-    generator = _WORKER["generator"]
-    module, failure = None, None
-    try:
-        if kind == "path":
-            module = generator.generate_from_file(payload)
-        else:
-            module = generator.generate_from_source(payload, name)
-    except _recoverable_errors() as exc:
-        failure = TemplateFailure(index, name, type(exc).__name__, str(exc))
-    init_counters = None
-    if not _WORKER["init_reported"]:
-        # Report the warm-start cost exactly once per worker, piggybacked
-        # on its first completed task, so the parent can fold it in.
-        _WORKER["init_reported"] = True
-        stats = _WORKER["init_stats"]
-        init_counters = {
-            DISK_HITS: stats.disk_hits,
-            DISK_MISSES: stats.disk_misses,
-            DISK_EVICTIONS: stats.disk_evictions,
-        }
-    return index, module, failure, init_counters, _worker_rss_mb()
-
-
-# ---------------------------------------------------------------------------
-# parent-side driver
-# ---------------------------------------------------------------------------
-
-
-class PoolStalledError(BrokenProcessPool):
-    """A batch made no progress within the stall timeout.
-
-    A wedged worker (e.g. one deadlocked before it ever picked up a
-    task) leaves its executor *looking* healthy — no
-    ``BrokenProcessPool``, the future just never resolves. The stall
-    watchdog converts that silent hang into this loud, supervisable
-    failure. Subclasses ``BrokenProcessPool`` so the supervisor's
-    restart loop handles both identically; the only difference is that
-    a stalled pool must be :meth:`WorkerPool.kill`-ed, not closed
-    (closing joins workers that will never exit).
-    """
-
-
-#: Modules imported into the forkserver process before the first worker
-#: forks, so every worker inherits a warm interpreter instead of paying
-#: the import chain itself. Import failures here are ignored by
-#: multiprocessing; workers then simply import on demand.
-_FORKSERVER_PRELOAD = ["repro.codegen.generator", "repro.cache"]
-
-_MP_CONTEXT: "multiprocessing.context.BaseContext | None" = None
-
-
-def pool_mp_context() -> "multiprocessing.context.BaseContext":
-    """The multiprocessing context every generation pool must use.
-
-    The POSIX default start method is ``fork``, and the serve daemon is
-    heavily multithreaded: forking a multithreaded parent clones every
-    lock in whatever state some *other* thread happened to hold it, so
-    a worker can deadlock before it ever picks up a task — and the
-    executor then waits on its future forever (observed intermittently
-    under the chaos harness). ``forkserver`` forks workers from a
-    clean, single-threaded server process instead; ``spawn`` is the
-    fallback where forkserver is unavailable. Benign race: two threads
-    may build the context concurrently, but the contexts are identical
-    and the extra one is dropped.
-    """
-    global _MP_CONTEXT
-    if _MP_CONTEXT is None:
-        try:
-            context = multiprocessing.get_context("forkserver")
-            context.set_forkserver_preload(_FORKSERVER_PRELOAD)
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context("spawn")
-        _MP_CONTEXT = context
-    return _MP_CONTEXT
-
-
-def _pool_initargs(generator: "CrySLBasedCodeGenerator") -> tuple:
-    """The ``_init_worker`` arguments for one generator's configuration."""
-    context = generator.context
-    ruleset = context.ruleset
-    rules_payload = tuple(
-        (rule, ruleset.rule_source(rule.class_name)) for rule in ruleset
-    )
-    cache = ruleset.disk_cache
-    cache_dir = str(cache.directory) if cache is not None else None
-    plan = faults.active()
-    fault_spec = plan.spec_string() if plan.probabilities else None
-    return (
-        rules_payload,
-        cache_dir,
-        context.max_paths,
-        generator.verify,
-        fault_spec,
-    )
-
-
-class WorkerPool:
-    """A persistent, warm-started generation pool.
-
-    ``run_parallel`` tears its executor down after every batch; a
-    resident engine cannot afford that — worker warm-up (rule-set
-    rebuild plus disk-cache touch) would be paid per request instead of
-    per process. A ``WorkerPool`` keeps the ``ProcessPoolExecutor``
-    alive across batches; it is bound to one generator configuration
-    (rules, cache, verify flag), so the owner must :meth:`close` and
-    recreate it when that configuration changes (e.g. after a rule
-    repository refresh).
-    """
-
-    def __init__(self, generator: "CrySLBasedCodeGenerator", jobs: int):
-        self.jobs = resolve_jobs(jobs)
-        self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_init_worker,
-            initargs=_pool_initargs(generator),
-            mp_context=pool_mp_context(),
-        )
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            raise RuntimeError("worker pool is closed")
-        return self._executor
-
-    def run_tasks(
-        self,
-        specs: "Sequence[tuple[str, str, str]]",
-        *,
-        stall_timeout: float | None = None,
-    ) -> list[TaskOutcome]:
-        """Run one batch of specs over the pool; results in spec order.
-
-        Raises ``BrokenProcessPool`` if a worker dies mid-batch and
-        :class:`PoolStalledError` if ``stall_timeout`` seconds pass
-        without a single task completing — the raw pool makes no
-        fault-tolerance promises; wrap it in a
-        :class:`repro.engine.supervisor.SupervisedWorkerPool` for those.
-        """
-        return run_specs_on_executor(
-            self.executor, specs, stall_timeout=stall_timeout
-        )
-
-    def close(self) -> None:
-        """Shut the executor down; idempotent."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def kill(self) -> None:
-        """Forcibly stop a wedged executor; idempotent.
-
-        ``close()`` joins the workers, which never returns if one of
-        them is deadlocked. This path SIGKILLs the worker processes
-        first and never waits — the only safe teardown after a
-        :class:`PoolStalledError`.
-        """
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:  # noqa: BLE001 - racing a dying process
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def run_specs_on_executor(
-    executor: ProcessPoolExecutor,
-    specs: "Sequence[tuple[str, str, str]]",
-    *,
-    stall_timeout: float | None = None,
-) -> list[TaskOutcome]:
-    """Submit one batch of specs; collect outcomes in submission order.
-
-    Propagates ``BrokenProcessPool`` (and any other executor-level
-    failure) to the caller — per-template *pipeline* errors are already
-    folded into each :class:`TaskOutcome` by the worker.
-
-    With ``stall_timeout``, a progress watchdog runs over the batch:
-    the clock resets on every task completion, and if it ever expires
-    with tasks still pending the batch raises :class:`PoolStalledError`
-    instead of waiting forever on a wedged worker.
-    """
-    futures = [
-        executor.submit(_run_task, index, kind, payload, name)
-        for index, (kind, payload, name) in enumerate(specs)
-    ]
-    if stall_timeout is not None:
-        pending = set(futures)
-        while pending:
-            done, pending = futures_wait(
-                pending, timeout=stall_timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                for future in pending:
-                    future.cancel()
-                raise PoolStalledError(
-                    f"no task completed within {stall_timeout:.0f}s; "
-                    f"{len(pending)} of {len(specs)} still pending — "
-                    "pool presumed wedged"
-                )
-    outcomes = []
-    for future in futures:
-        index, module, failure, init_counters, rss_mb = future.result()
-        outcomes.append(
-            TaskOutcome(index, module, failure, init_counters, rss_mb)
-        )
-    return outcomes
-
-
-def run_specs_serial(
-    generator: "CrySLBasedCodeGenerator",
-    specs: "Sequence[tuple[str, str, str]]",
-) -> list[TaskOutcome]:
-    """Run one batch in the calling process (the degraded fallback).
-
-    Used by the supervisor once its restart budget is exhausted: slower
-    than the pool, but immune to worker death. Generation goes through
-    the parent's own generator, so diagnostics record directly into the
-    shared context — outcomes are flagged ``in_process`` to keep the
-    drain loop from double-merging them.
-    """
-    outcomes = []
-    for index, (kind, payload, name) in enumerate(specs):
-        module, failure = None, None
-        try:
-            if kind == "path":
-                module = generator.generate_from_file(payload)
-            else:
-                module = generator.generate_from_source(payload, name)
-        except _recoverable_errors() as exc:
-            failure = TemplateFailure(index, name, type(exc).__name__, str(exc))
-        outcomes.append(TaskOutcome(index, module, failure, in_process=True))
-    return outcomes
-
-
-def run_parallel(
+def run_batch(
     generator: "CrySLBasedCodeGenerator",
     models: "Iterable[TemplateModel | str | Path]",
-    jobs: int,
     *,
-    pool: "WorkerPool | None" = None,
+    jobs: int = 1,
+    pool: "SupervisedWorkerPool | None" = None,
+    verify: bool | None = None,
 ) -> "list[GeneratedModule]":
-    """Generate a batch over ``jobs`` worker processes.
+    """Generate a batch; see the module docstring for the guarantees.
 
-    See the module docstring for the guarantees. The parent context's
-    cumulative diagnostics absorb every module's run record plus each
-    worker's warm-start counters; ``context.runs`` advances by the
-    number of successful modules.
-
-    With ``pool`` — a :class:`WorkerPool` (or anything else exposing
-    ``run_tasks``, e.g. the engine's
-    :class:`~repro.engine.supervisor.SupervisedWorkerPool`) built over
-    the *same* generator configuration — the batch reuses the resident
-    executor and leaves it running; otherwise a transient executor is
-    created and torn down around the batch.
+    ``pool`` — a supervised pool built over the *same* generator
+    configuration, e.g. the engine's resident one — runs the batch and
+    stays up. Without one, ``jobs > 1`` opens a transient supervised
+    pool around the batch and ``jobs=1`` runs it in-process. ``verify``
+    (default: the generator's) is carried in every task. The parent
+    context's cumulative diagnostics absorb every module's run record
+    plus each worker's warm-start counters; ``context.runs`` advances by
+    the number of successful modules.
     """
+    from ..workers import SupervisedWorkerPool, TaskRunner, run_tasks_serial
+
     context = generator.context
-    specs = [task_spec(model) for model in models]
-    if not specs:
+    verify = generator.verify if verify is None else verify
+    tasks = [template_task(model, verify) for model in models]
+    if not tasks:
         return []
-
-    modules: "list[GeneratedModule | None]" = [None] * len(specs)
-    failures: list[TemplateFailure] = []
-
-    def fold(outcomes: list[TaskOutcome]) -> None:
-        for outcome in outcomes:
-            if outcome.init_counters:
-                for key, amount in outcome.init_counters.items():
-                    context.diagnostics.count(key, amount)
-            if outcome.failure is not None:
-                failures.append(outcome.failure)
-                continue
-            modules[outcome.index] = outcome.module
-            if not outcome.in_process:
-                # Worker contexts are private; fold their record in.
-                # In-process outcomes already recorded into `context`.
-                context.diagnostics.merge(outcome.module.diagnostics)
-                context.runs += 1
-
     if pool is not None:
-        fold(pool.run_tasks(specs))
+        outcomes = pool.run_tasks(tasks)
+    elif jobs > 1 and len(tasks) > 1:
+        with SupervisedWorkerPool(
+            generator, min(jobs, len(tasks)), diagnostics=context.diagnostics
+        ) as transient:
+            outcomes = transient.run_tasks(tasks)
     else:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(specs)),
-            initializer=_init_worker,
-            initargs=_pool_initargs(generator),
-            mp_context=pool_mp_context(),
-        ) as executor:
-            fold(run_specs_on_executor(executor, specs))
+        outcomes = run_tasks_serial(TaskRunner(generator), tasks)
+
+    modules: "list[GeneratedModule | None]" = [None] * len(tasks)
+    failures: list[TemplateFailure] = []
+    for outcome in outcomes:
+        for key, amount in (outcome.init_counters or {}).items():
+            context.diagnostics.count(key, amount)
+        if outcome.failure is not None:
+            failures.append(outcome.failure)
+            continue
+        modules[outcome.index] = outcome.module
+        if not outcome.in_process:
+            # Worker contexts are private; fold their record in.
+            # In-process outcomes already recorded into `context`.
+            context.diagnostics.merge(outcome.module.diagnostics)
+            context.runs += 1
     if failures:
         failures.sort(key=lambda f: f.index)
         raise BatchGenerationError(failures, modules)

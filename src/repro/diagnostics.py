@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -86,7 +87,7 @@ SUMMARY_INVALIDATIONS = "summary_cache.invalidations"
 
 #: Fault-tolerance counters. The disk-cache retry (repro.cache.store)
 #: counts absorbed transient I/O failures; the supervised worker pool
-#: (repro.engine.supervisor) counts pool rebuilds, batch retries,
+#: (repro.workers) counts pool rebuilds, batch retries,
 #: proactive worker recycles and serial-fallback batches; the circuit
 #: breakers (repro.engine.breaker) count trips and fast-fails; the
 #: serve admission layer (repro.engine.server) counts load-shed and
@@ -114,6 +115,13 @@ _TIER_LABELS = (
     (TIER_DERIVED, "c (derived literal)"),
     (TIER_PUSHED, "d (pushed up)"),
 )
+
+
+#: The most warnings one record keeps. An engine's cumulative record
+#: absorbs every run's warnings (disk-cache events, greedy fallbacks)
+#: for its whole lifetime, so older ones are dropped — and counted in
+#: ``warnings_dropped`` — once this many are held.
+MAX_WARNINGS = 200
 
 
 @dataclass
@@ -155,7 +163,12 @@ class Diagnostics:
     counters: dict[str, int] = field(default_factory=dict)
     #: rule simple name -> number of enumerated repetition-free paths
     path_counts: dict[str, int] = field(default_factory=dict)
-    warnings: list[DiagnosticWarning] = field(default_factory=list)
+    #: the newest :data:`MAX_WARNINGS` warnings, oldest first
+    warnings: "deque[DiagnosticWarning]" = field(
+        default_factory=lambda: deque(maxlen=MAX_WARNINGS)
+    )
+    #: warnings pushed out of the ring buffer
+    warnings_dropped: int = 0
     #: the request trace this record belongs to, when the run happened
     #: inside an engine request (:mod:`repro.trace`); never merged.
     trace: object | None = None
@@ -211,7 +224,12 @@ class Diagnostics:
 
     def warn(self, stage: str, message: str, rule: str | None = None) -> None:
         with self._lock:
-            self.warnings.append(DiagnosticWarning(stage, message, rule))
+            self._keep_warning(DiagnosticWarning(stage, message, rule))
+
+    def _keep_warning(self, warning: DiagnosticWarning) -> None:
+        if len(self.warnings) == self.warnings.maxlen:
+            self.warnings_dropped += 1
+        self.warnings.append(warning)
 
     def merge(self, other: "Diagnostics") -> None:
         """Fold another run's record into this one (for batch totals).
@@ -236,7 +254,9 @@ class Diagnostics:
                 self.path_counts[rule_name] = (
                     count if mine is None else max(mine, count)
                 )
-            self.warnings.extend(other.warnings)
+            self.warnings_dropped += other.warnings_dropped
+            for warning in list(other.warnings):
+                self._keep_warning(warning)
 
     # ------------------------------------------------------------------
     # reading
@@ -266,6 +286,7 @@ class Diagnostics:
                 {"stage": w.stage, "rule": w.rule, "message": w.message}
                 for w in self.warnings
             ],
+            "warnings_dropped": self.warnings_dropped,
             **(
                 {"trace": self.trace.to_dict()}
                 if self.trace is not None and hasattr(self.trace, "to_dict")
@@ -306,4 +327,6 @@ class Diagnostics:
             lines.append("warnings:")
             for warning in self.warnings:
                 lines.append(f"  {warning}")
+        if self.warnings_dropped:
+            lines.append(f"  ({self.warnings_dropped} older warning(s) dropped)")
         return "\n".join(lines)

@@ -10,6 +10,7 @@ are all thin callers of this facade; :class:`EngineServer` exposes it
 as a daemon speaking newline-delimited JSON (``cognicrypt-gen serve``).
 """
 
+from ..workers import SupervisedWorkerPool, SupervisorConfig
 from .breaker import BreakerConfig, BreakerRegistry, CircuitOpenError
 from .core import (
     AnalyzeRequest,
@@ -23,7 +24,6 @@ from .core import (
 )
 from .result_cache import ResultCache, ResultKey
 from .server import PROTOCOL_VERSION, EngineServer
-from .supervisor import SupervisedWorkerPool, SupervisorConfig
 
 __all__ = [
     "AnalyzeRequest",

@@ -7,8 +7,8 @@ state the one-shot CLI used to rebuild per invocation:
 * one frozen rule set — bundled, or an incremental
   :class:`~repro.crysl.repository.RuleRepository` over a directory;
 * one :class:`~repro.cache.DiskRuleCache` (optional);
-* one warm :class:`~repro.codegen.parallel.WorkerPool` (created on the
-  first parallel batch, reused by every later one);
+* one warm :class:`~repro.workers.SupervisedWorkerPool` (created on
+  the first parallel request, reused by every later one);
 * one cumulative :class:`~repro.diagnostics.Diagnostics`, shared by
   the generation context and the project analyzer.
 
@@ -30,7 +30,7 @@ deltas are captured through context-local sinks
 is single-flight on the rule set, and repeated identical generate
 requests are answered from a bounded LRU
 :class:`~repro.engine.result_cache.ResultCache` that ``refresh_rules``
-invalidates. Only ``refresh_rules`` and parallel batches serialize
+invalidates. Only ``refresh_rules`` and parallel requests serialize
 against each other (they swap or share the process worker pool).
 """
 
@@ -52,15 +52,16 @@ from ..codegen import (
     TemplateError,
 )
 from ..cache.store import SCHEMA_VERSION
+from ..codegen.parallel import run_batch
 from ..crysl import CrySLError, RuleRepository, RuleSet, bundled_ruleset
 from ..crysl.compiled import track_compile_deltas
 from ..crysl.repository import RefreshReport
 from ..diagnostics import SUMMARY_INVALIDATIONS, Diagnostics, register_stage
 from ..sast.summary_cache import SummaryCache
 from ..trace import Trace, activate as activate_trace
+from ..workers import SupervisedWorkerPool, SupervisorConfig
 from .breaker import BreakerConfig, BreakerRegistry, CircuitOpenError
 from .result_cache import DEFAULT_CAPACITY, ResultCache, ResultKey
-from .supervisor import SupervisedWorkerPool, SupervisorConfig
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..cache import DiskRuleCache
@@ -287,7 +288,7 @@ class CryptoGenEngine:
         self._request_counter = 0
         #: guards request ids, counters and lazy service construction
         self._lock = threading.RLock()
-        #: serializes refresh_rules against parallel batches — both
+        #: serializes refresh_rules against parallel requests — both
         #: touch the process worker pool, which must not be torn down
         #: mid-batch. Serial generate/analyze never take it.
         self._batch_lock = threading.Lock()
@@ -380,8 +381,7 @@ class CryptoGenEngine:
         Supervision means batches never see a raw ``BrokenProcessPool``:
         worker death restarts the pool (bounded backoff + jitter) and
         resubmits the batch; an exhausted restart budget degrades the
-        batch to in-process serial execution (see
-        :mod:`repro.engine.supervisor`).
+        batch to in-process serial execution (see :mod:`repro.workers`).
         """
         if self._pool is not None and self._pool.jobs < jobs:
             self._close_pool()
@@ -614,14 +614,14 @@ class CryptoGenEngine:
         (order-preserving), never a batch abort.
         """
         if jobs > 1 and len(templates) > 1:
-            return self._generate_many_parallel(templates, jobs)
+            return self._generate_many_parallel(templates, jobs, verify)
         return [
             self.generate(GenerateRequest(template=str(t), verify=verify))
             for t in templates
         ]
 
     def _generate_many_parallel(
-        self, templates: Sequence[str | Path], jobs: int
+        self, templates: Sequence[str | Path], jobs: int, verify: bool | None
     ) -> list[GenerateResult]:
         request_id = self._next_request_id(None)
         trace = Trace(request_id)
@@ -632,8 +632,11 @@ class CryptoGenEngine:
             with track_compile_deltas() as delta:
                 try:
                     modules: list[GeneratedModule | None] = list(
-                        self._generator.generate_many(
-                            templates, pool=self.pool(jobs)
+                        run_batch(
+                            self._generator,
+                            templates,
+                            pool=self.pool(jobs),
+                            verify=verify,
                         )
                     )
                 except BatchGenerationError as exc:
@@ -700,8 +703,8 @@ class CryptoGenEngine:
                             raise EngineRequestError(
                                 "analyze request needs paths or sources"
                             )
-                        analysis = self.analyzer.analyze_sources(
-                            sources, jobs=request.jobs
+                        analysis = self._analyze_sources(
+                            sources, request.jobs
                         )
                     except RECOVERABLE_ERRORS as exc:
                         error = EngineError(type(exc).__name__, str(exc))
@@ -726,6 +729,17 @@ class CryptoGenEngine:
                 analysis.reanalyzed_functions if analysis is not None else 0
             ),
         )
+
+    def _analyze_sources(
+        self, sources: dict[str, str], jobs: int
+    ) -> "ProjectAnalysisResult":
+        """Serial analysis, or components over the resident pool."""
+        if jobs <= 1:
+            return self.analyzer.analyze_sources(sources)
+        with self._batch_lock:
+            return self.analyzer.analyze_sources(
+                sources, jobs=jobs, pool=self.pool(jobs)
+            )
 
     # ------------------------------------------------------------------
     # the incremental rule repository

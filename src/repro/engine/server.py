@@ -14,7 +14,10 @@ line, correlated by the client-chosen ``id``. Requests:
     [...], "jobs": N}`` runs over the engine's supervised process pool
     and answers one response with per-item results.
 ``{"id": 2, "op": "analyze", "paths": [...]}``
-    or inline ``"sources": {name: text}``.
+    or inline ``"sources": {name: text}``; with ``"jobs": N`` the
+    project's independent module components run over the same
+    supervised process pool. ``jobs`` must be a positive integer and is
+    clamped to the CPU count.
 ``{"op": "ping"}`` / ``{"op": "stats"}`` / ``{"op": "refresh-rules"}``
     liveness, the engine's cumulative diagnostics plus server metrics
     (per-op latency percentiles, in-flight gauge, worker utilization,
@@ -135,6 +138,15 @@ class _ProtocolError(Exception):
     def __init__(self, message: str, *, kind: str = "ProtocolError"):
         super().__init__(message)
         self.kind = kind
+
+
+def _request_jobs(request: dict) -> int:
+    """A request's ``jobs``: a positive int, clamped to the CPU count so
+    a client cannot size the resident process pool beyond the machine."""
+    jobs = request.get("jobs", 1)
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise _ProtocolError(f"'jobs' must be a positive integer, got {jobs!r}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _error_response(
@@ -534,9 +546,10 @@ class EngineServer:
         """
         if not isinstance(templates, (list, tuple)) or not templates:
             raise _ProtocolError("generate 'templates' must be a non-empty list")
-        jobs = int(request.get("jobs", 1))
         results = self.engine.generate_many(
-            [str(t) for t in templates], jobs=jobs, verify=request.get("verify")
+            [str(t) for t in templates],
+            jobs=_request_jobs(request),
+            verify=request.get("verify"),
         )
         items = []
         for result in results:
@@ -563,7 +576,7 @@ class EngineServer:
             AnalyzeRequest(
                 paths=tuple(str(p) for p in paths),
                 sources=sources,
-                jobs=int(request.get("jobs", 1)),
+                jobs=_request_jobs(request),
             )
         )
         payload = result.to_dict()

@@ -18,7 +18,7 @@ optional ``seed=N`` entry that makes the draw sequence reproducible.
 The known points, and where they fire:
 
 ``worker_crash``
-    :func:`maybe_crash` in :func:`repro.codegen.parallel._run_task` —
+    :func:`maybe_crash` in :func:`repro.workers.run_task` —
     the worker process dies with ``os._exit``, which surfaces to the
     parent as a ``BrokenProcessPool`` for the supervisor to absorb.
     Only ever fired inside pool worker processes, never in the parent

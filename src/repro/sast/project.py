@@ -13,16 +13,14 @@ components of the module-dependency graph (modules that define or
 reference a shared top-level name always land in the same component),
 so every worker sees exactly the resolution candidates the serial
 analysis would — findings are byte-identical to the serial path and
-land in deterministic order. Workers warm-start the same way the batch
-generator's do: the frozen rule set is rebuilt once per process and the
-compiled-rule disk cache (:mod:`repro.cache`) is attached, so a primed
-cache means zero DFA builds anywhere.
+land in deterministic order. Each component is one task on the
+supervised worker pool of :mod:`repro.workers` — the same warm,
+forkserver-backed pool that batch generation uses.
 """
 
 from __future__ import annotations
 
 import ast as pyast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -56,8 +54,8 @@ from .suppressions import apply_suppressions, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..constraints.types import TypeRegistry
-    from ..crysl.ast import Rule
     from ..crysl.ruleset import RuleSet
+    from ..workers import SupervisedWorkerPool
 
 
 @dataclass
@@ -149,12 +147,24 @@ class ProjectAnalyzer:
     # ------------------------------------------------------------------
 
     def analyze_sources(
-        self, sources: Mapping[str, str], jobs: int = 1
+        self,
+        sources: Mapping[str, str],
+        jobs: int = 1,
+        pool: "SupervisedWorkerPool | None" = None,
     ) -> ProjectAnalysisResult:
-        """Analyze a ``{module key: source text}`` mapping as one project."""
-        if jobs > 1 and len(sources) > 1:
-            return self._analyze_parallel(dict(sources), jobs)
-        result, run_diag = self._analyze_serial(dict(sources))
+        """Analyze a ``{module key: source text}`` mapping as one project.
+
+        With ``jobs > 1`` or a ``pool`` (a
+        :class:`~repro.workers.SupervisedWorkerPool` over the same rule
+        set), independent module components run as tasks on that pool,
+        else on a transient supervised pool of ``jobs`` workers.
+        """
+        sources = dict(sources)
+        if (jobs > 1 or pool is not None) and len(sources) > 1:
+            components = _components(sources)
+            if len(components) > 1:
+                return self._analyze_parallel(sources, components, jobs, pool)
+        result, run_diag = self._analyze_serial(sources)
         self.diagnostics.merge(run_diag)
         return result
 
@@ -304,53 +314,50 @@ class ProjectAnalyzer:
     # ------------------------------------------------------------------
 
     def _analyze_parallel(
-        self, sources: dict[str, str], jobs: int
+        self,
+        sources: dict[str, str],
+        components: list[dict[str, str]],
+        jobs: int,
+        pool: "SupervisedWorkerPool | None",
     ) -> ProjectAnalysisResult:
-        components = _components(sources)
-        if len(components) <= 1:
-            result, run_diag = self._analyze_serial(sources)
-            self.diagnostics.merge(run_diag)
-            return result
-        ruleset = self._analyzer.ruleset
-        rules_payload = tuple(
-            (rule, ruleset.rule_source(rule.class_name)) for rule in ruleset
-        )
-        cache = ruleset.disk_cache
-        cache_dir = str(cache.directory) if cache is not None else None
-        summary_dir = (
-            str(self.summary_cache.directory)
-            if self.summary_cache.directory is not None
-            else None
-        )
-        partial: list[dict[str, AnalysisResult] | None] = [None] * len(components)
+        from ..workers import COMPONENT, SupervisedWorkerPool
+
+        directory = self.summary_cache.directory
+        summary_dir = str(directory) if directory is not None else None
+        tasks = [
+            (COMPONENT, tuple(component.items()), summary_dir)
+            for component in components
+        ]
+        if pool is not None:
+            outcomes = pool.run_tasks(tasks)
+        else:
+            from ..codegen import CrySLBasedCodeGenerator, GenerationContext
+
+            # A pool is bound to a generator's rule set; this generator
+            # only carries ours.
+            context = GenerationContext(
+                self._analyzer.ruleset, self._analyzer.registry
+            )
+            with SupervisedWorkerPool(
+                CrySLBasedCodeGenerator(context=context),
+                min(jobs, len(tasks)),
+                diagnostics=self.diagnostics,
+            ) as transient:
+                outcomes = transient.run_tasks(tasks)
+        modules: dict[str, AnalysisResult] = {}
         run_totals: dict[str, int] = {}
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(components)),
-            initializer=_project_init_worker,
-            initargs=(rules_payload, cache_dir, summary_dir),
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _project_run_component, index, tuple(component.items())
-                )
-                for index, component in enumerate(components)
-            ]
-            for future in futures:
-                index, items, counters = future.result()
-                partial[index] = dict(items)
-                for key, amount in counters.items():
-                    self.diagnostics.count(key, amount)
-                    run_totals[key] = run_totals.get(key, 0) + amount
+        for outcome in outcomes:
+            for key, amount in (outcome.init_counters or {}).items():
+                self.diagnostics.count(key, amount)
+            component_result, counters = outcome.module
+            modules.update(component_result.modules)
+            for key, amount in counters.items():
+                self.diagnostics.count(key, amount)
+                run_totals[key] = run_totals.get(key, 0) + amount
         # Reassemble in the original module order regardless of which
         # component (or worker) produced each result.
-        merged: dict[str, AnalysisResult] = {}
-        for key in sources:
-            for component_results in partial:
-                if component_results and key in component_results:
-                    merged[key] = component_results[key]
-                    break
         return ProjectAnalysisResult(
-            modules=merged,
+            modules={key: modules[key] for key in sources},
             total_functions=run_totals.get(ANALYSIS_FUNCTIONS, 0),
             reanalyzed_functions=run_totals.get(ANALYSIS_REANALYZED, 0),
             summary_cache_hits=run_totals.get(SUMMARY_HITS, 0),
@@ -358,7 +365,7 @@ class ProjectAnalyzer:
 
 
 # ---------------------------------------------------------------------------
-# module partitioning (shared by serial determinism tests and the driver)
+# module partitioning
 # ---------------------------------------------------------------------------
 
 
@@ -409,44 +416,3 @@ def _components(sources: dict[str, str]) -> list[dict[str, str]]:
         groups.setdefault(find(key), {})[key] = sources[key]
     return list(groups.values())
 
-
-# ---------------------------------------------------------------------------
-# worker-side machinery (module-level so the pool can pickle references)
-# ---------------------------------------------------------------------------
-
-_PROJECT_WORKER: dict = {}
-
-
-def _project_init_worker(
-    rules_payload: "tuple[tuple[Rule, str | None], ...]",
-    cache_dir: str | None,
-    summary_dir: str | None = None,
-) -> None:
-    """Build this worker's warm analyzer (runs once per process)."""
-    from ..crysl.ruleset import RuleSet
-
-    ruleset = RuleSet()
-    for rule, source in rules_payload:
-        ruleset.add(rule, source=source)
-    ruleset.freeze()
-    if cache_dir is not None:
-        from ..cache import DiskRuleCache
-
-        ruleset.attach_disk_cache(DiskRuleCache(cache_dir))
-    # CrySLAnalyzer construction compiles every rule once — straight
-    # from the disk store when it is primed (zero DFA builds). When the
-    # parent's summary cache is disk-backed the workers share that
-    # store too, so a primed summary tier replays in parallel mode.
-    summary_cache = SummaryCache(summary_dir) if summary_dir else SummaryCache()
-    _PROJECT_WORKER["analyzer"] = ProjectAnalyzer(
-        ruleset, summary_cache=summary_cache
-    )
-
-
-def _project_run_component(
-    index: int, items: tuple[tuple[str, str], ...]
-) -> tuple[int, list[tuple[str, AnalysisResult]], dict[str, int]]:
-    """Analyze one module component in this worker."""
-    analyzer: ProjectAnalyzer = _PROJECT_WORKER["analyzer"]
-    result, run_diag = analyzer._analyze_serial(dict(items))
-    return index, list(result.modules.items()), dict(run_diag.counters)

@@ -136,6 +136,23 @@ class TestGenerateMany:
         engine.close()
         assert engine._pool is None
 
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_parallel_batch_honours_verify(self, verify):
+        # Regression: the jobs>1 branch dropped ``verify``, so workers
+        # ran with the engine default instead of the request's flag.
+        templates = [TEMPLATE, str(use_case(2).template_path())]
+        engine = CryptoGenEngine(verify=not verify)
+        try:
+            serial = engine.generate_many(templates, jobs=1, verify=verify)
+            parallel = engine.generate_many(templates, jobs=2, verify=verify)
+        finally:
+            engine.close()
+        for left, right in zip(serial, parallel):
+            assert left.ok and right.ok
+            assert left.module.source == right.module.source
+            assert ("verify" in left.module.diagnostics.stages) is verify
+            assert ("verify" in right.module.diagnostics.stages) is verify
+
 
 class TestAnalyze:
     def test_analyze_generated_module(self, engine):
@@ -164,6 +181,38 @@ class TestAnalyze:
         result = engine.analyze(AnalyzeRequest())
         assert not result.ok
         assert result.error.type == "EngineRequestError"
+
+    def test_parallel_analyses_share_one_resident_pool(self, monkeypatch):
+        from repro import workers
+
+        built = []
+
+        class CountingPool(workers.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "WorkerPool", CountingPool)
+        sources = {
+            "a.py": "from repro.jca import Cipher\n"
+            "def enc():\n    return Cipher.get_instance('AES/ECB/PKCS5Padding')\n",
+            "b.py": "from repro.jca import MessageDigest\n"
+            "def digest():\n    return MessageDigest.get_instance('MD5')\n",
+        }
+        engine = CryptoGenEngine()
+        try:
+            first = engine.analyze(AnalyzeRequest(sources=sources, jobs=2))
+            pool = engine._pool
+            second = engine.analyze(AnalyzeRequest(sources=sources, jobs=2))
+            assert engine._pool is pool
+            stats = pool.to_dict()
+        finally:
+            engine.close()
+        assert first.ok and second.ok
+        assert second.analysis.to_dict() == first.analysis.to_dict()
+        assert stats["batches"] == 2
+        assert stats["restarts"] == stats["recycles"] == 0
+        assert len(built) == 1
 
 
 class TestConstruction:

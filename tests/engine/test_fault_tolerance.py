@@ -27,9 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import faults
-from repro.codegen import parallel
-from repro.codegen.parallel import PoolStalledError, TaskOutcome
+from repro import faults, workers
 from repro.engine import (
     BreakerConfig,
     BreakerRegistry,
@@ -40,8 +38,8 @@ from repro.engine import (
     SupervisedWorkerPool,
     SupervisorConfig,
 )
-from repro.engine import supervisor as supervisor_module
 from repro.usecases import use_case
+from repro.workers import PoolStalledError, TaskOutcome
 
 TEMPLATE = str(use_case(1).template_path())
 TEMPLATE_2 = str(use_case(2).template_path())
@@ -140,10 +138,10 @@ class TestFaultPlan:
 class _FakeGenerator:
     """Stands in for the real generator in serial-fallback paths."""
 
-    def generate_from_file(self, path):
+    def generate_from_file(self, path, verify=None):
         return f"gen:{path}"
 
-    def generate_from_source(self, source, name):
+    def generate_from_source(self, source, name, verify=None):
         return f"gen:{name}"
 
 
@@ -180,12 +178,12 @@ def _install_fake_pool(monkeypatch, behaviors: list, rss_mb: float = 10.0):
         def kill(self):
             calls["killed"] += 1
 
-    monkeypatch.setattr(supervisor_module, "WorkerPool", FakePool)
+    monkeypatch.setattr(workers, "WorkerPool", FakePool)
     return calls
 
 
 FAST_BACKOFF = dict(backoff_base_seconds=0.001, backoff_max_seconds=0.002)
-SPECS = [("path", "a.py", "a.py"), ("path", "b.py", "b.py")]
+SPECS = [("path", "a.py", "a.py", False), ("path", "b.py", "b.py", False)]
 
 
 class TestSupervisedWorkerPool:
@@ -315,7 +313,7 @@ class TestPoolPlumbing:
         # they pick up their first task (the executor then waits on
         # the future forever). The pool must use a start method that
         # does not fork the parent directly.
-        assert parallel.pool_mp_context().get_start_method() != "fork"
+        assert workers.pool_mp_context().get_start_method() != "fork"
 
     def test_stall_watchdog_raises_instead_of_waiting_forever(
         self, monkeypatch
@@ -326,15 +324,15 @@ class TestPoolPlumbing:
 
         release = threading.Event()
 
-        def wedged_task(index, kind, payload, name):
+        def wedged_task(index, task):
             release.wait(5.0)
-            return index, None, None, None, 0.0
+            return TaskOutcome(index, None, None)
 
-        monkeypatch.setattr(parallel, "_run_task", wedged_task)
+        monkeypatch.setattr(workers, "run_task", wedged_task)
         with ThreadPoolExecutor(max_workers=1) as executor:
             started = time.monotonic()
             with pytest.raises(PoolStalledError):
-                parallel.run_specs_on_executor(
+                workers.run_tasks_on_executor(
                     executor, SPECS, stall_timeout=0.05
                 )
             assert time.monotonic() - started < 2.0
@@ -345,21 +343,98 @@ class TestPoolPlumbing:
         # clock is per-completion, not per-batch.
         from concurrent.futures import ThreadPoolExecutor
 
-        def slow_task(index, kind, payload, name):
+        def slow_task(index, task):
             time.sleep(0.04)
-            return index, f"module-{index}", None, None, 0.0
+            return TaskOutcome(index, f"module-{index}", None)
 
-        monkeypatch.setattr(parallel, "_run_task", slow_task)
-        specs = [("path", f"{n}.py", f"{n}.py") for n in range(4)]
+        monkeypatch.setattr(workers, "run_task", slow_task)
+        specs = [("path", f"{n}.py", f"{n}.py", False) for n in range(4)]
         with ThreadPoolExecutor(max_workers=1) as executor:
             # 4 serial tasks x 40ms ≈ 160ms total, but no single gap
             # exceeds the 60ms stall budget.
-            outcomes = parallel.run_specs_on_executor(
+            outcomes = workers.run_tasks_on_executor(
                 executor, specs, stall_timeout=0.06
             )
         assert [o.module for o in outcomes] == [
             f"module-{n}" for n in range(4)
         ]
+
+
+# ---------------------------------------------------------------------------
+# parallel analysis on the supervised pool
+# ---------------------------------------------------------------------------
+
+#: Three modules, two components: ``helpers``/``app`` share a name,
+#: ``solo`` stands alone; ``solo`` carries a finding.
+COMPONENT_SOURCES = {
+    **ANALYZE_SOURCES,
+    "solo.py": (
+        "from repro.jca import MessageDigest\n"
+        "def digest(data):\n"
+        "    md = MessageDigest.get_instance('MD5')\n"
+        "    return md.digest(data)\n"
+    ),
+}
+
+
+class TestParallelAnalysisPool:
+    def test_crashing_workers_in_a_threaded_parent_still_match_serial(
+        self, monkeypatch
+    ):
+        from repro.engine import AnalyzeRequest
+        from repro.sast import to_sarif
+        from repro.sast.project import _components
+
+        assert len(_components(COMPONENT_SOURCES)) == 2
+        # seed=1 fires on each worker's first draw, so every pool
+        # incarnation crashes: the supervisor restarts, then degrades.
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker_crash:0.5,seed=1")
+        faults.reset()
+        serial_engine = CryptoGenEngine()
+        engine = CryptoGenEngine(
+            supervisor_config=SupervisorConfig(max_restarts=2, **FAST_BACKOFF)
+        )
+        stop = threading.Event()
+        bystander = threading.Thread(target=stop.wait, daemon=True)
+        bystander.start()
+        try:
+            serial = serial_engine.analyze(
+                AnalyzeRequest(sources=COMPONENT_SOURCES, jobs=1)
+            )
+            parallel = engine.analyze(
+                AnalyzeRequest(sources=COMPONENT_SOURCES, jobs=2)
+            )
+            assert bystander.is_alive()
+            pool = engine.health(probe=False)["pool"]
+        finally:
+            stop.set()
+            serial_engine.close()
+            engine.close()
+        assert serial.ok and parallel.ok
+        assert not parallel.is_secure
+        assert parallel.analysis.to_dict() == serial.analysis.to_dict()
+        assert to_sarif(parallel.analysis.modules) == to_sarif(
+            serial.analysis.modules
+        )
+        assert pool["restarts"] > 0
+
+    def test_parallel_analysis_never_forks(self, monkeypatch):
+        from repro.sast import ProjectAnalyzer
+
+        contexts = []
+        real_executor = workers.ProcessPoolExecutor
+
+        def recording_executor(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return real_executor(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "ProcessPoolExecutor", recording_executor)
+        result = ProjectAnalyzer().analyze_sources(COMPONENT_SOURCES, jobs=2)
+        assert set(result.modules) == set(COMPONENT_SOURCES)
+        assert contexts
+        for context in contexts:
+            assert context is workers.pool_mp_context()
+            assert context.get_start_method() != "fork"
 
 
 # ---------------------------------------------------------------------------

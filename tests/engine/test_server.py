@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,27 @@ def _run(server, requests: list) -> list[dict]:
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
+def _run_in_turn(server, requests: list[dict]) -> list[dict]:
+    """Like :func:`_run`, but each request goes out only after every
+    earlier response is written. The protocol orders responses, not
+    execution, so tests whose assertions depend on one request having
+    finished before the next starts must not pipeline."""
+    out = io.StringIO()
+
+    def lines():
+        for sent, request in enumerate(requests):
+            deadline = time.monotonic() + 60.0
+            while (
+                out.getvalue().count("\n") < sent
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            yield json.dumps(request) + "\n"
+
+    server.serve_stream(lines(), out)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
 class TestProtocol:
     def test_ping(self, server):
         [response] = _run(server, [{"id": 1, "op": "ping"}])
@@ -40,7 +63,7 @@ class TestProtocol:
         assert response["rules"] > 0
 
     def test_generate_then_warm_generate(self, server):
-        responses = _run(
+        responses = _run_in_turn(
             server,
             [
                 {"id": "a", "op": "generate", "template": TEMPLATE},
@@ -93,7 +116,7 @@ class TestProtocol:
         srv.engine.close()
 
     def test_stats(self, server):
-        _, stats = _run(
+        _, stats = _run_in_turn(
             server,
             [
                 {"id": 1, "op": "generate", "template": TEMPLATE},
@@ -116,7 +139,7 @@ class TestProtocol:
                 "    return iv\n"
             ),
         }
-        cold, warm, stats = _run(
+        cold, warm, stats = _run_in_turn(
             server,
             [
                 {"id": 1, "op": "analyze", "sources": sources},
@@ -177,6 +200,36 @@ class TestMalformedInput:
         [response] = _run(server, [{"id": 6}])
         assert response["ok"] is False
         assert "op" in response["error"]["message"]
+
+    @pytest.mark.parametrize("jobs", ["x", True, 1.9, 0, -1, None])
+    @pytest.mark.parametrize("op", ["analyze", "generate"])
+    def test_bad_jobs_is_protocol_error(self, server, op, jobs):
+        request = {"id": 9, "op": op, "jobs": jobs}
+        if op == "analyze":
+            request["sources"] = {"m.py": "x = 1\n"}
+        else:
+            request["templates"] = [TEMPLATE, TEMPLATE]
+        [response] = _run(server, [request])
+        assert not response["ok"] and response["id"] == 9
+        assert response["error"]["type"] == "ProtocolError"
+        assert "jobs" in response["error"]["message"]
+
+    def test_huge_jobs_is_clamped_to_the_cpu_count(self, server, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        response, health = _run_in_turn(
+            server,
+            [
+                {
+                    "id": 1,
+                    "op": "analyze",
+                    "sources": {"m.py": "x = 1\n"},
+                    "jobs": 10**6,
+                },
+                {"id": 2, "op": "health", "probe": False},
+            ],
+        )
+        assert response["ok"]
+        assert health["pool"]["jobs"] == 2
 
     def test_generate_without_payload(self, server):
         [response] = _run(server, [{"id": 7, "op": "generate"}])

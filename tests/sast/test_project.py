@@ -7,6 +7,7 @@ import pytest
 
 from repro.codegen import CrySLBasedCodeGenerator, VerificationError
 from repro.sast import FindingKind, ProjectAnalyzer
+from repro.sast.project import _components
 from repro.usecases import USE_CASES
 
 WRAPPER = """\
@@ -166,6 +167,50 @@ class TestDeterminism:
         for module_result in result.modules.values():
             lines = [(f.line, f.column) for f in module_result.findings]
             assert lines == sorted(lines)
+
+
+class TestComponents:
+    """The module partition parallel analysis fans out over."""
+
+    def test_shared_defined_name_joins_modules(self):
+        sources = {
+            "a.py": "def helper():\n    return 1\n",
+            "b.py": "def helper():\n    return 2\n",
+        }
+        assert _components(sources) == [sources]
+
+    def test_cross_module_reference_joins_modules(self):
+        sources = {
+            "lib.py": "class Box:\n    pass\n",
+            "app.py": "from lib import Box\ndef run():\n    return Box()\n",
+        }
+        assert _components(sources) == [sources]
+
+    def test_independent_modules_stay_apart(self):
+        sources = {
+            "a.py": "def one():\n    return 1\n",
+            "b.py": "def two():\n    return 2\n",
+        }
+        assert _components(sources) == [{"a.py": sources["a.py"]}, {"b.py": sources["b.py"]}]
+
+    def test_component_order_is_deterministic(self):
+        sources = {
+            "z.py": "def zed():\n    return 0\n",
+            "lib.py": "def shared():\n    return 1\n",
+            "m.py": "def em():\n    return 2\n",
+            "use.py": "from lib import shared\ndef run():\n    return shared()\n",
+        }
+        expected = [["z.py"], ["lib.py", "use.py"], ["m.py"]]
+        for _ in range(3):
+            assert [list(c) for c in _components(sources)] == expected
+        # Input order decides component order: each component sits at
+        # its first module's position.
+        reordered = dict(reversed(list(sources.items())))
+        assert [list(c) for c in _components(reordered)] == [
+            ["use.py", "lib.py"],
+            ["m.py"],
+            ["z.py"],
+        ]
 
 
 class TestGenerateVerifyGate:

@@ -148,3 +148,25 @@ def test_render_and_to_dict_cover_all_sections():
     assert set(data["stages"]) == set(STAGES)
     assert data["path_counts"] == {"SecureRandom": 4}
     assert data["warnings"][0]["rule"] == "Cipher"
+
+
+def test_warnings_are_a_bounded_ring_buffer():
+    from repro.diagnostics import MAX_WARNINGS
+
+    cumulative = Diagnostics()
+    cumulative.warn("collect", "first")
+    run = Diagnostics()
+    for n in range(MAX_WARNINGS + 5):
+        run.warn("resolve", f"fallback {n}")
+    assert len(run.warnings) == MAX_WARNINGS
+    assert run.warnings_dropped == 5
+
+    cumulative.merge(run)
+    assert len(cumulative.warnings) == MAX_WARNINGS
+    # 5 dropped inside the run, plus "first" pushed out by the merge
+    assert cumulative.warnings_dropped == 6
+    messages = [w.message for w in cumulative.warnings]
+    assert messages[0] == "fallback 5"
+    assert messages[-1] == f"fallback {MAX_WARNINGS + 4}"
+    assert cumulative.to_dict()["warnings_dropped"] == 6
+    assert "6 older warning(s) dropped" in cumulative.render()
