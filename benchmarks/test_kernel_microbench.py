@@ -1,7 +1,9 @@
 """Kernel microbenchmarks and the benchmark-trajectory gate.
 
 Measures the compiled :class:`~repro.fsm.kernel.DfaKernel` hot path
-against the dict-based reference DFA it replaced:
+against the dict-based reference DFA it replaced, which lives on as the
+test oracle in ``tests/fsm/reference.py`` (import it from the repo
+root: ``python -m pytest`` puts the working directory on the path):
 
 * **stepping** — events/sec replaying seeded *live* event walks (legal
   sequences that never enter the dead state, so neither machine gets to
@@ -37,7 +39,8 @@ from pathlib import Path
 import pytest
 
 from repro.crysl import bundled_ruleset
-from repro.fsm import DfaWalker, KernelWalker
+from repro.fsm import KernelWalker
+from tests.fsm.reference import DfaWalker, reference_dfa
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_10.json"
@@ -106,7 +109,13 @@ def workload(ruleset):
     work = []
     for rule in ruleset:
         compiled = ruleset.compiled(rule)
-        dfa, kernel = compiled.dfa, compiled.kernel
+        dfa, kernel = reference_dfa(rule), compiled.kernel
+        # Both sides run the same automaton. Reading the alphabet also
+        # sets the reference DFA's alphabet memo, as compiling the kernel
+        # from it used to; CPython's attribute loads on a DFA without
+        # that memo run ~15% faster, which would move the dict baseline
+        # this gate was calibrated against, not the kernel.
+        assert dfa.alphabet == set(kernel.symbols)
         walks = [
             _live_walk(dfa, kernel, rng, WALK_LENGTH)
             for _ in range(WALKS_PER_RULE)
@@ -250,8 +259,8 @@ class TestLiveness:
         bit test against the precomputed live mask. The dict walker
         answered the same question with a DFS over the transition graph
         on every call."""
-        compiled = ruleset.compiled(ruleset.get("Cipher"))
-        walker = KernelWalker(compiled.kernel)
+        cipher = ruleset.get("Cipher")
+        walker = KernelWalker(ruleset.compiled(cipher).kernel)
         assert walker.feed("g1") and walker.feed("i1")
         calls = 200_000
 
@@ -259,7 +268,7 @@ class TestLiveness:
             for _ in range(n * calls):
                 walker.can_still_accept
 
-        reference = DfaWalker(compiled.dfa)
+        reference = DfaWalker(reference_dfa(cipher))
         assert reference.feed("g1") and reference.feed("i1")
         dict_calls = 20_000  # the DFS is slow; keep the sweep short
 
@@ -318,8 +327,8 @@ class TestWalkerAllocation:
         """Walker construction is on the per-tracked-object path; the
         slotted kernel walker must allocate at least as fast as the
         dict walker it replaced."""
-        compiled = ruleset.compiled(ruleset.get("Cipher"))
-        dfa, kernel = compiled.dfa, compiled.kernel
+        cipher = ruleset.get("Cipher")
+        dfa, kernel = reference_dfa(cipher), ruleset.compiled(cipher).kernel
         allocs = 100_000
 
         def kernel_sweep(n):

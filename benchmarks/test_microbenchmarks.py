@@ -169,7 +169,7 @@ class TestColdStartWithWarmDiskCache:
         ruleset.attach_disk_cache(DiskRuleCache(directory))
         for rule in ruleset:
             compiled = ruleset.compiled(rule)
-            compiled.dfa
+            compiled.kernel
             compiled.paths
         assert ruleset.flush_disk_cache() == len(ruleset)
         return directory
@@ -178,7 +178,7 @@ class TestColdStartWithWarmDiskCache:
     def _compile_all(ruleset):
         for rule in ruleset:
             compiled = ruleset.compiled(rule)
-            compiled.dfa
+            compiled.kernel
             compiled.paths
         return ruleset
 

@@ -32,7 +32,7 @@ def primed_cache_dir(tmp_path_factory):
     ruleset.attach_disk_cache(DiskRuleCache(cache_dir))
     for rule in ruleset:
         compiled = ruleset.compiled(rule)
-        compiled.dfa  # force the expensive artefacts so they persist
+        compiled.kernel  # force the expensive artefacts so they persist
         compiled.paths
     assert ruleset.flush_disk_cache() > 0
     return cache_dir

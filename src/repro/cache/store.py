@@ -1,6 +1,6 @@
 """Content-addressed on-disk store for compiled CrySL rule artefacts.
 
-Compiling a rule — parsing is cheap, but building the ORDER DFA and
+Compiling a rule — parsing is cheap, but building the ORDER automaton and
 enumerating its repetition-free accepting paths is not — is a pure
 function of the rule source and the pipeline's compilation scheme.
 This module persists those derived artefacts so a *fresh process* can
@@ -50,7 +50,6 @@ from .. import faults
 from ..trace import span as _trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fsm -> crysl)
-    from ..fsm.automaton import DFA
     from ..fsm.kernel import DfaKernel
 
 #: Version of the compiled-artefact layout *and* of the pipeline
@@ -63,7 +62,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fsm -> crysl)
 #: (``kernel``) and DFAs stopped pickling their lazy memos; v1 entries
 #: are unreachable under v2 keys, and a v1 payload encountered at a v2
 #: key (or any schema drift) is evicted on load.
-SCHEMA_VERSION = 2
+#:
+#: v3: the table kernel is the only automaton, so entries hold no dict
+#: DFA; and path enumeration bounds every alternation and optional by
+#: ``max_paths``, not only sequences.
+SCHEMA_VERSION = 3
 
 _SUFFIX = ".artefacts.pkl"
 
@@ -92,11 +95,9 @@ class CachedArtefacts:
 
     schema_version: int
     rule_class: str
-    #: the ORDER automaton (plain ints/strings; pickles compactly)
-    dfa: "DFA"
-    #: the automaton's compiled table kernel (interned symbols, dense
+    #: the ORDER automaton as its table kernel (interned symbols, dense
     #: transition table, liveness bitmasks) — persisted so a warm start
-    #: skips the kernel build along with the DFA build
+    #: skips the automaton build
     kernel: "DfaKernel"
     #: enumerated repetition-free accepting paths, as label sequences
     path_labels: tuple[tuple[str, ...], ...]

@@ -5,9 +5,9 @@ shares (Krüger et al.), and this module is that idea for the
 reproduction: a :class:`CompiledRule` lazily derives and caches the
 expensive by-products of one parsed rule —
 
-* the ORDER automaton (``dfa``),
-* its compiled table kernel (``kernel``) — interned symbols, dense
-  transition table, liveness bitmasks; the form every hot path steps,
+* the ORDER automaton as its table kernel (``kernel``) — interned
+  symbols, dense transition table, liveness bitmasks; the form every
+  hot path steps,
 * the repetition-free accepting paths (``paths``),
 * label → concrete-event expansions (``expand_label``),
 * pre-indexed ENSURES/CONSTRAINTS/EVENTS tables
@@ -164,7 +164,7 @@ def _mentioned_objects(expr: ast.ConstraintExpr) -> frozenset[str]:
 class CompiledRule:
     """One rule's derived artefacts, each computed at most once.
 
-    Thread safety: the expensive derivations (:attr:`dfa`,
+    Thread safety: the expensive derivations (:attr:`kernel`,
     :attr:`paths`, the section indexes) are guarded by one per-entry
     re-entrant lock with double-checked laziness — N threads racing on
     an uncompiled rule perform exactly one DFA build and one path
@@ -181,7 +181,6 @@ class CompiledRule:
         "persisted",
         "_stats",
         "_lock",
-        "_dfa",
         "_kernel",
         "_paths",
         "_expansions",
@@ -211,9 +210,8 @@ class CompiledRule:
         self.persisted = False
         self._stats = stats if stats is not None else CompileStats()
         #: per-entry guard for the expensive lazy derivations; re-entrant
-        #: because ``paths`` forces ``dfa`` while holding it
+        #: because ``paths`` forces ``kernel`` while holding it
         self._lock = threading.RLock()
-        self._dfa = None
         self._kernel = None
         self._paths: tuple[tuple[ast.Event, ...], ...] | None = None
         self._expansions: dict[str, tuple[str, ...]] = {}
@@ -228,32 +226,22 @@ class CompiledRule:
     # ------------------------------------------------------------------
 
     @property
-    def dfa(self):
-        """The rule's ORDER DFA, built on first access (single-flight)."""
-        dfa = self._dfa
-        if dfa is None:
-            with self._lock:
-                if self._dfa is None:
-                    from ..fsm.build import rule_dfa
-
-                    self._dfa = rule_dfa(self.rule)
-                    self._stats.bump("dfa_builds")
-                dfa = self._dfa
-        return dfa
-
-    @property
     def kernel(self):
-        """The ORDER DFA's compiled table kernel (single-flight).
+        """The ORDER automaton's table kernel, built on first access
+        (single-flight).
 
-        Warm starts rehydrate this straight from the disk cache; cold
-        starts derive it from :attr:`dfa` — either way every walker
-        this rule's consumers allocate shares one kernel instance.
+        Warm starts rehydrate it straight from the disk cache; either
+        way every walker this rule's consumers allocate shares one
+        kernel instance.
         """
         kernel = self._kernel
         if kernel is None:
             with self._lock:
                 if self._kernel is None:
-                    self._kernel = self.dfa.kernel
+                    from ..fsm.build import rule_dfa
+
+                    self._kernel = rule_dfa(self.rule)
+                    self._stats.bump("dfa_builds")
                 kernel = self._kernel
         return kernel
 
@@ -266,13 +254,9 @@ class CompiledRule:
                 if self._paths is None:
                     from ..fsm.paths import enumerate_paths
 
-                    # Validation steps the table kernel, not the dict
-                    # DFA: alternation-heavy rules re-check many label
-                    # sequences, and each check is pure stepping.
                     self._paths = tuple(
                         enumerate_paths(
                             self.rule,
-                            dfa=self.dfa,
                             kernel=self.kernel,
                             max_paths=self.max_paths,
                         )
@@ -330,7 +314,6 @@ class CompiledRule:
             }
         except IndexError:
             return False
-        self._dfa = artefacts.dfa
         self._kernel = artefacts.kernel
         self._paths = tuple(paths)
         self._expansions = dict(artefacts.expansions)
@@ -343,7 +326,7 @@ class CompiledRule:
     def export_artefacts(self) -> "CachedArtefacts | None":
         """The persistable form of this rule's artefacts.
 
-        Returns ``None`` while the expensive derivations (DFA, paths)
+        Returns ``None`` while the expensive derivations (kernel, paths)
         have not been forced yet — there is nothing worth writing. The
         cheap indexes are forced here so a persisted entry is complete.
         """
@@ -351,7 +334,7 @@ class CompiledRule:
             return self._export_artefacts()
 
     def _export_artefacts(self) -> "CachedArtefacts | None":
-        if self._dfa is None or self._paths is None:
+        if self._kernel is None or self._paths is None:
             return None
         from ..cache.store import CachedArtefacts, SCHEMA_VERSION
 
@@ -366,8 +349,7 @@ class CompiledRule:
         return CachedArtefacts(
             schema_version=SCHEMA_VERSION,
             rule_class=self.rule.class_name,
-            dfa=self._dfa,
-            kernel=self.kernel,
+            kernel=self._kernel,
             path_labels=tuple(
                 tuple(event.label for event in path) for path in self._paths
             ),

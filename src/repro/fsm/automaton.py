@@ -3,19 +3,19 @@
 The ORDER section of a CrySL rule is a regular expression over event
 labels; CogniCryptGEN "translates a rule's pattern into a finite state
 machine [and] classifies any path of method calls that leads to an
-acceptable state as correct" (§3.3). These NFA/DFA classes are that
-machinery; they are also reused verbatim by the typestate analysis in
-:mod:`repro.sast`.
+acceptable state as correct" (§3.3). This module holds the NFA that
+Thompson construction builds and the subset construction that turns it
+into the rule's one deterministic automaton, the table kernel of
+:mod:`repro.fsm.kernel` that both the generator and the typestate
+analysis in :mod:`repro.sast` step.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
-    from .kernel import DfaKernel
+from .kernel import DfaKernel
 
 
 @dataclass
@@ -83,162 +83,12 @@ class NFA:
         return bool(current & self.accepting)
 
 
-@dataclass(frozen=True)
-class DFA:
-    """A deterministic automaton produced by subset construction.
+def determinize(nfa: NFA) -> DfaKernel:
+    """Subset construction, straight into the table kernel.
 
-    ``transitions[state][symbol]`` is the unique successor; missing
-    entries are the implicit dead state (rejection).
-    """
-
-    start: int
-    accepting: frozenset[int]
-    transitions: tuple[dict[str, int], ...]  # indexed by state
-
-    @property
-    def state_count(self) -> int:
-        return len(self.transitions)
-
-    @property
-    def alphabet(self) -> frozenset[str]:
-        """The symbol set, computed once (the dataclass is frozen, so
-        the memo can never go stale; ``object.__setattr__`` sidesteps
-        the frozen guard)."""
-        alphabet = self.__dict__.get("_alphabet")
-        if alphabet is None:
-            symbols: set[str] = set()
-            for moves in self.transitions:
-                symbols.update(moves)
-            alphabet = frozenset(symbols)
-            object.__setattr__(self, "_alphabet", alphabet)
-        return alphabet
-
-    @property
-    def kernel(self) -> "DfaKernel":
-        """This automaton compiled to its table kernel, built once.
-
-        The kernel is the hot-path form (see :mod:`repro.fsm.kernel`);
-        this dict-based DFA remains the reference implementation the
-        equivalence suite checks it against.
-        """
-        kernel = self.__dict__.get("_kernel")
-        if kernel is None:
-            from .kernel import DfaKernel
-
-            kernel = DfaKernel.from_dfa(self)
-            object.__setattr__(self, "_kernel", kernel)
-        return kernel
-
-    def __getstate__(self) -> dict:
-        # Keep lazily-derived memos (alphabet, kernel) out of pickles:
-        # the disk rule cache persists the kernel as its own artefact,
-        # and a rehydrated DFA rebuilds cheap memos on demand.
-        return {
-            "start": self.start,
-            "accepting": self.accepting,
-            "transitions": self.transitions,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
-    def step(self, state: int | None, symbol: str) -> int | None:
-        """One transition; ``None`` is the dead state."""
-        if state is None:
-            return None
-        return self.transitions[state].get(symbol)
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        state: int | None = self.start
-        for symbol in word:
-            state = self.step(state, symbol)
-            if state is None:
-                return False
-        return state in self.accepting
-
-    def is_prefix_viable(self, word: Iterable[str]) -> bool:
-        """True when ``word`` can still be extended to an accepted word."""
-        state: int | None = self.start
-        for symbol in word:
-            state = self.step(state, symbol)
-            if state is None:
-                return False
-        return self._can_reach_accepting(state)
-
-    def _can_reach_accepting(self, state: int) -> bool:
-        seen = {state}
-        stack = [state]
-        while stack:
-            current = stack.pop()
-            if current in self.accepting:
-                return True
-            for target in self.transitions[current].values():
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        return False
-
-    def shortest_accepting_words(self, limit: int = 10) -> list[tuple[str, ...]]:
-        """Breadth-first enumeration of up to ``limit`` accepted words.
-
-        Used by diagnostics ("expected one of: ...") and by tests.
-        """
-        results: list[tuple[str, ...]] = []
-        queue: deque[tuple[int, tuple[str, ...]]] = deque([(self.start, ())])
-        seen_words: set[tuple[str, ...]] = set()
-        while queue and len(results) < limit:
-            state, word = queue.popleft()
-            if state in self.accepting and word not in seen_words:
-                results.append(word)
-                seen_words.add(word)
-            if len(word) >= self.state_count:
-                continue  # avoid unrolling loops forever
-            for symbol in sorted(self.transitions[state]):
-                queue.append((self.transitions[state][symbol], word + (symbol,)))
-        return results
-
-    def walk(self) -> "DfaWalker":
-        """A stateful cursor for incremental typestate tracking."""
-        return DfaWalker(self)
-
-
-class DfaWalker:
-    """Incremental DFA simulation with error reporting for the analyzer."""
-
-    def __init__(self, dfa: DFA):
-        self._dfa = dfa
-        self._state: int | None = dfa.start
-        self.history: list[str] = []
-
-    @property
-    def in_dead_state(self) -> bool:
-        return self._state is None
-
-    @property
-    def in_accepting_state(self) -> bool:
-        return self._state is not None and self._state in self._dfa.accepting
-
-    @property
-    def can_still_accept(self) -> bool:
-        if self._state is None:
-            return False
-        return self._dfa._can_reach_accepting(self._state)
-
-    def expected_symbols(self) -> frozenset[str]:
-        if self._state is None:
-            return frozenset()
-        return frozenset(self._dfa.transitions[self._state])
-
-    def feed(self, symbol: str) -> bool:
-        """Consume one event; returns False on a typestate violation."""
-        self._state = self._dfa.step(self._state, symbol)
-        self.history.append(symbol)
-        return self._state is not None
-
-
-def determinize(nfa: NFA) -> DFA:
-    """Subset construction.
+    Subset states are numbered in discovery order from a LIFO worklist
+    (the start set is state 0); the kernel keeps those numbers and
+    appends its explicit dead state after them.
 
     Epsilon closures are memoised per target set for the duration of
     the construction: alternation- and loop-heavy ORDER expressions
@@ -249,13 +99,11 @@ def determinize(nfa: NFA) -> DFA:
     index: dict[frozenset[int], int] = {start_set: 0}
     worklist = [start_set]
     transitions: list[dict[str, int]] = [{}]
-    accepting: set[int] = set()
-    if start_set & nfa.accepting:
-        accepting.add(0)
+    accepting: list[int] = [0] if start_set & nfa.accepting else []
     closures: dict[frozenset[int], frozenset[int]] = {}
     while worklist:
         current = worklist.pop()
-        current_index = index[current]
+        row = transitions[index[current]]
         moves: dict[str, set[int]] = {}
         for state in current:
             for symbol, targets in nfa.transitions_from(state).items():
@@ -267,11 +115,12 @@ def determinize(nfa: NFA) -> DFA:
             closure = closures.get(target_key)
             if closure is None:
                 closure = closures[target_key] = nfa.epsilon_closure(target_key)
-            if closure not in index:
-                index[closure] = len(transitions)
+            target = index.get(closure)
+            if target is None:
+                target = index[closure] = len(transitions)
                 transitions.append({})
                 worklist.append(closure)
                 if closure & nfa.accepting:
-                    accepting.add(index[closure])
-            transitions[index[current]][symbol] = index[closure]
-    return DFA(0, frozenset(accepting), tuple(transitions))
+                    accepting.append(target)
+            row[symbol] = target
+    return DfaKernel.from_dfa(0, accepting, transitions)

@@ -1,4 +1,4 @@
-"""Thompson construction: ORDER expressions → NFA → DFA.
+"""Thompson construction: ORDER expressions → NFA → table kernel.
 
 Aggregate labels (``Inits := i1 | i2``) are expanded to alternations of
 their concrete event labels during construction, so automata alphabets
@@ -8,7 +8,8 @@ contain only concrete events.
 from __future__ import annotations
 
 from ..crysl import ast
-from .automaton import DFA, NFA, determinize
+from .automaton import NFA, determinize
+from .kernel import DfaKernel
 
 
 def build_nfa(order: ast.OrderExpr | None, rule: ast.Rule) -> NFA:
@@ -80,21 +81,11 @@ def _build(nfa: NFA, node: ast.OrderExpr, rule: ast.Rule, entry: int) -> int:
     raise TypeError(f"unknown ORDER node: {type(node).__name__}")
 
 
-def build_dfa(order: ast.OrderExpr | None, rule: ast.Rule) -> DFA:
-    """The DFA for a rule's usage pattern."""
-    return determinize(build_nfa(order, rule))
-
-
-def rule_dfa(rule: ast.Rule) -> DFA:
-    """Convenience: the DFA of ``rule``'s ORDER section."""
-    return build_dfa(rule.order, rule)
-
-
-def rule_kernel(rule: ast.Rule):
-    """Convenience: the compiled table kernel of ``rule``'s ORDER DFA.
+def rule_dfa(rule: ast.Rule) -> DfaKernel:
+    """The ORDER automaton of ``rule``, as its table kernel.
 
     Prefer :attr:`repro.crysl.compiled.CompiledRule.kernel` when a rule
     set is in play — it shares one kernel per rule process-wide and can
     come warm off the disk cache.
     """
-    return rule_dfa(rule).kernel
+    return determinize(build_nfa(rule.order, rule))

@@ -1,15 +1,9 @@
-"""Compiled DFA kernels: dense transition tables for the hot path.
+"""The rule automaton: a DFA as dense tables for the hot path.
 
-The dict-based :class:`~repro.fsm.automaton.DFA` is the *reference*
-implementation of a rule's ORDER automaton: readable, directly produced
-by subset construction, and convenient for enumeration and diagnostics.
-It is also what every typestate step used to pay for — a string-keyed
-dict probe per event, and a full DFS over the transition graph for
-every ``can_still_accept`` query.
-
-A :class:`DfaKernel` is the same automaton compiled once into flat
-tables so that every per-event operation is an O(1) index or bit
-operation:
+Subset construction (:func:`repro.fsm.automaton.determinize`) emits a
+:class:`DfaKernel` directly; it is the only deterministic automaton the
+program builds, caches or steps. Every per-event operation on it is an
+O(1) index or bit operation:
 
 * **interned symbols** — each transition label maps to a small integer
   (``symbol_ids``), shared by every walker over the kernel;
@@ -34,30 +28,29 @@ a fresh one), and offers a batch :meth:`~KernelWalker.replay` whose hot
 loop is one dict probe plus one array index per event — violation
 bookkeeping is deferred to a rare re-walk.
 
-Kernels are value objects derived purely from their DFA: they pickle
-compactly (the disk rule cache persists them alongside the DFA, see
-``repro.cache.store.SCHEMA_VERSION``; the column-major view is
-rederived on load, never serialized) and compare equal structurally,
-which the cache round-trip tests rely on.
+Kernels are value objects: they pickle compactly (the disk rule cache
+persists them, see ``repro.cache.store.SCHEMA_VERSION``; the
+column-major view is rederived on load, never serialized) and compare
+equal structurally, which the cache round-trip tests rely on. The
+readable dict-based DFA the kernel replaced lives on as the test
+oracle in ``tests/fsm/reference.py``.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
-    from .automaton import DFA
+from typing import Iterable, Mapping, Sequence
 
 
 class DfaKernel:
-    """One rule DFA compiled to dense tables (see module docstring).
+    """One rule's ORDER DFA as dense tables (see module docstring).
 
-    States ``0 .. n_states-2`` are the DFA's own states (same indexes);
-    state ``dead == n_states-1`` is the explicit dead state. Unknown
-    symbols — labels outside the automaton's alphabet — are handled by
-    :meth:`step` (and the walker) as a transition to ``dead``.
+    States ``0 .. n_states-2`` are the DFA's own states, numbered as
+    subset construction discovered them; state ``dead == n_states-1``
+    is the explicit dead state. Unknown symbols — labels outside the
+    automaton's alphabet — are handled by :meth:`step` (and the walker)
+    as a transition to ``dead``.
     """
 
     __slots__ = (
@@ -106,26 +99,32 @@ class DfaKernel:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_dfa(cls, dfa: "DFA") -> "DfaKernel":
-        """Compile one dict-based DFA into its table kernel."""
-        symbols = tuple(sorted(dfa.alphabet))
+    def from_dfa(
+        cls,
+        start: int,
+        accepting: Iterable[int],
+        transitions: Sequence[Mapping[str, int]],
+    ) -> "DfaKernel":
+        """Compile a DFA given as tables: ``transitions[state][symbol]``
+        is the successor, a missing entry the dead state."""
+        symbols = tuple(sorted({symbol for moves in transitions for symbol in moves}))
         symbol_ids = {symbol: i for i, symbol in enumerate(symbols)}
         n_symbols = len(symbols)
-        n_dfa_states = dfa.state_count
-        dead = n_dfa_states  # one extra, explicit dead state
-        n_states = n_dfa_states + 1
+        dead = len(transitions)  # one extra, explicit dead state
+        n_states = dead + 1
 
         table = array("i", [dead]) * (n_states * n_symbols) if n_symbols else array("i")
         expected: list[frozenset[str]] = []
-        for state, moves in enumerate(dfa.transitions):
+        for state, moves in enumerate(transitions):
             base = state * n_symbols
             for symbol, target in moves.items():
                 table[base + symbol_ids[symbol]] = target
             expected.append(frozenset(moves))
         expected.append(frozenset())  # the dead state expects nothing
 
+        live = set(accepting)
         accepting_mask = 0
-        for state in dfa.accepting:
+        for state in live:
             accepting_mask |= 1 << state
 
         # Reverse BFS from the accepting states over a reversed edge
@@ -133,10 +132,9 @@ class DfaKernel:
         # reachable from it. Computed once here; queried per event as a
         # single bit test.
         reverse: dict[int, list[int]] = {}
-        for state, moves in enumerate(dfa.transitions):
+        for state, moves in enumerate(transitions):
             for target in moves.values():
                 reverse.setdefault(target, []).append(state)
-        live = set(dfa.accepting)
         queue = deque(live)
         while queue:
             current = queue.popleft()
@@ -150,7 +148,7 @@ class DfaKernel:
 
         return cls(
             symbols=symbols,
-            start=dfa.start,
+            start=start,
             table=table,
             accepting_mask=accepting_mask,
             live_mask=live_mask,
@@ -182,7 +180,7 @@ class DfaKernel:
         return self.expected[state]
 
     # ------------------------------------------------------------------
-    # whole-word queries (API parity with the reference DFA)
+    # whole-word queries
     # ------------------------------------------------------------------
 
     def accepts(self, word: Iterable[str]) -> bool:

@@ -7,15 +7,16 @@ is. CogniCryptGEN does not currently support repeated calls."
 
 Concretely: ``x?`` and ``x*`` each contribute the empty path and one
 occurrence of ``x``; ``x+`` contributes exactly one occurrence. Every
-enumerated path is validated against the rule's DFA (repetition-free
-expansions of a pattern are always in its language, so this is an
-internal consistency check, not a filter).
+enumerated path is validated against the rule's automaton
+(repetition-free expansions of a pattern are always in its language,
+so this is an internal consistency check, not a filter).
 """
 
 from __future__ import annotations
 
 from ..crysl import ast
 from .build import rule_dfa
+from .kernel import DfaKernel
 
 #: Default safety valve against pathological ORDER expressions:
 #: alternation inside nested optionals multiplies path counts.
@@ -31,55 +32,56 @@ class PathExplosionError(Exception):
 def _expand(
     node: ast.OrderExpr, rule: ast.Rule, limit: int
 ) -> list[tuple[str, ...]]:
+    paths: list[tuple[str, ...]]
     if isinstance(node, ast.LabelRef):
-        return [(label,) for label in rule.expand_label(node.label)]
-    if isinstance(node, ast.Seq):
-        paths: list[tuple[str, ...]] = [()]
+        paths = [(label,) for label in rule.expand_label(node.label)]
+    elif isinstance(node, ast.Seq):
+        paths = [()]
         for part in node.parts:
             part_paths = _expand(part, rule, limit)
             paths = [p + q for p in paths for q in part_paths]
-            if len(paths) > limit:
-                raise PathExplosionError(
-                    f"{rule.class_name}: ORDER expands past {limit} paths"
-                )
-        return paths
-    if isinstance(node, ast.Alt):
+            # Checked per part, before the next product multiplies it.
+            _check_bound(paths, rule, limit)
+    elif isinstance(node, ast.Alt):
         paths = []
         for option in node.options:
             paths.extend(_expand(option, rule, limit))
-        return paths
-    if isinstance(node, (ast.Opt, ast.Star)):
-        return [()] + _expand(node.inner, rule, limit)
-    if isinstance(node, ast.Plus):
-        return _expand(node.inner, rule, limit)
-    raise TypeError(f"unknown ORDER node: {type(node).__name__}")
+    elif isinstance(node, (ast.Opt, ast.Star)):
+        paths = [()] + _expand(node.inner, rule, limit)
+    elif isinstance(node, ast.Plus):
+        paths = _expand(node.inner, rule, limit)
+    else:
+        raise TypeError(f"unknown ORDER node: {type(node).__name__}")
+    _check_bound(paths, rule, limit)
+    return paths
+
+
+def _check_bound(paths: list[tuple[str, ...]], rule: ast.Rule, limit: int) -> None:
+    if len(paths) > limit:
+        raise PathExplosionError(
+            f"{rule.class_name}: ORDER expands past {limit} paths"
+        )
 
 
 def enumerate_paths(
     rule: ast.Rule,
-    dfa=None,
     max_paths: int | None = None,
-    validated: set[tuple[str, ...]] | None = None,
-    kernel=None,
+    kernel: DfaKernel | None = None,
 ) -> list[tuple[ast.Event, ...]]:
     """All repetition-free accepting call paths of ``rule``, as events.
 
     Paths are deduplicated preserving first-seen order, which mirrors
     the deterministic traversal the generator relies on. Deduplication
-    happens *before* the DFA-acceptance consistency check, so
+    happens *before* the acceptance consistency check, so
     alternation-heavy ORDER expressions (which expand to many duplicate
     label sequences) pay one ``accepts`` per unique path, not per
     expansion.
 
-    Pass a prebuilt ``dfa`` (e.g. from
+    Pass the rule's prebuilt ``kernel`` (e.g. from
     :class:`~repro.crysl.compiled.CompiledRule`) to avoid re-deriving
-    it here; with it, an optional ``validated`` set records which label
-    sequences have already passed the acceptance check for *that* DFA,
-    so repeated enumerations skip the redundant re-validation entirely
-    (the set is updated in place), and an optional ``kernel`` (the
-    DFA's compiled :class:`~repro.fsm.kernel.DfaKernel`) runs the
-    acceptance checks on the table kernel instead of the dict automaton.
-    ``max_paths`` overrides the module default :data:`MAX_PATHS`.
+    it here. ``max_paths`` overrides the module default
+    :data:`MAX_PATHS`; it bounds every intermediate expansion, so no
+    sequence, alternation or optional can grow past it.
     """
     if rule.order is None:
         # No ORDER: any single event is a valid (degenerate) path.
@@ -88,21 +90,15 @@ def enumerate_paths(
     # dict.fromkeys: first-seen order, duplicates dropped before any
     # per-path validation work below.
     label_paths = list(dict.fromkeys(_expand(rule.order, rule, limit)))
-    if dfa is None:
-        dfa = rule_dfa(rule)
-        validated = None  # a fresh DFA invalidates any caller-side memo
-        kernel = None
-    machine = kernel if kernel is not None else dfa
+    if kernel is None:
+        kernel = rule_dfa(rule)
     result: list[tuple[ast.Event, ...]] = []
     for labels in label_paths:
-        if validated is None or labels not in validated:
-            if not machine.accepts(labels):
-                raise AssertionError(
-                    f"{rule.class_name}: enumerated path {labels} not accepted "
-                    "by the rule's own DFA — expansion and construction disagree"
-                )
-            if validated is not None:
-                validated.add(labels)
+        if not kernel.accepts(labels):
+            raise AssertionError(
+                f"{rule.class_name}: enumerated path {labels} not accepted "
+                "by the rule's own DFA — expansion and construction disagree"
+            )
         events = []
         for label in labels:
             event = rule.event_labelled(label)

@@ -1,8 +1,7 @@
 """Predicate linking across rule instances (paper Figure 6, step 2).
 
 ENSURES/REQUIRES rely–guarantee reasoning: candidate links between the
-rules a template considers, the dataflow graph they induce, and the
-path-establishment/drop semantics of §3.3.
+rules a template considers and the drop semantics of §3.3.
 """
 
 from .instances import (
@@ -14,9 +13,6 @@ from .instances import (
 from .linker import (
     Link,
     compute_links,
-    emission_order,
-    establishes_path,
-    link_graph,
     unlinked_instances,
 )
 
@@ -25,10 +21,7 @@ __all__ = [
     "RuleInstance",
     "TemplateBinding",
     "compute_links",
-    "emission_order",
-    "establishes_path",
     "granted_predicates",
     "invalidating_events",
-    "link_graph",
     "unlinked_instances",
 ]

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..crysl import ast
 from .instances import RuleInstance
 
@@ -112,36 +110,6 @@ def _arities_compatible(
     # Allow a REQUIRES with fewer args to match (trailing args ignored),
     # mirroring CogniCrypt_SAST's lenient arity handling.
     return len(required.args) <= len(ensured.args)
-
-
-def link_graph(instances: list[RuleInstance], links: list[Link]) -> nx.MultiDiGraph:
-    """The chain's dataflow graph: nodes are instance indices, edges links."""
-    graph = nx.MultiDiGraph()
-    for instance in instances:
-        graph.add_node(instance.index, instance=instance)
-    for link in links:
-        graph.add_edge(link.producer, link.consumer, link=link)
-    return graph
-
-
-def establishes_path(graph: nx.MultiDiGraph, producer: int, consumer: int) -> bool:
-    """Is there a predicate path from one instance to another?
-
-    The paper: "If CogniCryptGEN were unable to establish a path
-    between PBEKeySpec and SecretKeyFactory, it would not have taken
-    the former into account when generating code for the latter."
-    """
-    return nx.has_path(graph, producer, consumer)
-
-
-def emission_order(instances: list[RuleInstance], links: list[Link]) -> list[int]:
-    """Topological emission order: producers first, template order as
-    tie-break. Chain order already satisfies every link (links only
-    point forward), so this is chain order — kept as an explicit
-    function so ablations can plug in alternatives."""
-    graph = link_graph(instances, links)
-    order = list(nx.lexicographical_topological_sort(graph))
-    return order
 
 
 def unlinked_instances(

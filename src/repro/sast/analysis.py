@@ -88,8 +88,7 @@ class CrySLAnalyzer:
         # Automaton kernels and signature tables come from the rule set's
         # compiled-rule cache, so a generator and an analyzer sharing one
         # rule set (the eval harness) build each rule's automaton exactly
-        # once — and every walker the analyzer allocates steps the dense
-        # table kernel, not the dict DFA.
+        # once.
         self._kernels = {
             rule.simple_name: self._ruleset.compiled(rule).kernel
             for rule in self._ruleset

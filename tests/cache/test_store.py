@@ -47,7 +47,7 @@ def _prime(ruleset):
     """Compile + force the expensive artefacts + flush to disk."""
     for rule in ruleset:
         compiled = ruleset.compiled(rule)
-        compiled.dfa
+        compiled.kernel
         compiled.paths
     return ruleset.flush_disk_cache()
 
@@ -125,7 +125,6 @@ class TestStoreAndLoad:
         drifted = CachedArtefacts(
             schema_version=SCHEMA_VERSION + 1,
             rule_class=artefacts.rule_class,
-            dfa=artefacts.dfa,
             kernel=artefacts.kernel,
             path_labels=artefacts.path_labels,
             expansions=artefacts.expansions,
@@ -224,7 +223,7 @@ class TestRuleSetIntegration:
         warm = _ruleset(tmp_path)
         for rule in warm:
             compiled = warm.compiled(rule)
-            compiled.dfa
+            compiled.kernel
             assert compiled.paths == ((rule.events[0], rule.events[1]),)
         stats = warm.compile_stats
         assert stats.dfa_builds == 0
@@ -261,8 +260,8 @@ class TestRuleSetIntegration:
 
     def test_kernel_rehydrates_with_the_entry(self, tmp_path):
         """A warm start gets the compiled table kernel straight off
-        disk — stepping it must not force a DFA (let alone a kernel)
-        build, and it must agree with a freshly compiled kernel."""
+        disk — stepping it must not force a kernel build, and it must
+        agree with a freshly compiled kernel."""
         primed = _ruleset(tmp_path)
         _prime(primed)
         (rule,) = list(primed)

@@ -35,7 +35,6 @@ def _artefacts(cache) -> CachedArtefacts:
     return CachedArtefacts(
         schema_version=cache.schema_version,
         rule_class="x.Digest",
-        dfa=None,
         kernel=None,
         path_labels=(),
         expansions={},

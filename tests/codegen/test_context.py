@@ -27,8 +27,8 @@ def test_compiled_artifacts_are_cached(cold_context):
     rule = next(iter(cold_context.ruleset))
     first = cold_context.compiled(rule)
     assert cold_context.compiled(rule) is first
-    dfa = first.dfa
-    assert first.dfa is dfa
+    kernel = first.kernel
+    assert first.kernel is kernel
     paths = first.paths
     assert first.paths is paths
     stats = cold_context.ruleset.compile_stats

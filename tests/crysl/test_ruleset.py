@@ -166,7 +166,7 @@ def test_compiled_cache_hit_and_invalidation():
 
 def test_copy_has_cold_cache():
     rules = RuleSet([parse_rule("SPEC a.Thing\nEVENTS\n e: m();")])
-    rules.compiled("Thing").dfa
+    rules.compiled("Thing").kernel
     clone = rules.copy()
     assert clone.compile_stats.misses == 0
     assert clone.compile_stats.dfa_builds == 0

@@ -1,8 +1,12 @@
-"""NFA/DFA machinery."""
+"""NFA machinery, subset construction into the table kernel, and the
+reference dict DFA the kernel is checked against."""
 
 from __future__ import annotations
 
-from repro.fsm.automaton import NFA, DfaWalker, determinize
+from repro.fsm.automaton import NFA, determinize
+
+from .reference import DfaWalker, kernel_of
+from .reference import determinize as reference_determinize
 
 
 def _simple_nfa():
@@ -41,16 +45,31 @@ class TestNfa:
 
 class TestDeterminize:
     def test_language_preserved(self):
-        dfa = determinize(_simple_nfa())
-        assert dfa.accepts(["a", "b"])
-        assert dfa.accepts(["c"])
-        assert not dfa.accepts(["a", "b", "c"])
-        assert not dfa.accepts(["a", "c"])
+        kernel = determinize(_simple_nfa())
+        assert kernel.accepts(["a", "b"])
+        assert kernel.accepts(["c"])
+        assert not kernel.accepts(["a", "b", "c"])
+        assert not kernel.accepts(["a", "c"])
 
     def test_dfa_is_deterministic(self):
-        dfa = determinize(_simple_nfa())
-        for moves in dfa.transitions:
-            assert len(moves) == len(set(moves))  # dict keys unique
+        kernel = determinize(_simple_nfa())
+        # exactly one successor per (state, symbol), dead state included
+        assert len(kernel.table) == kernel.n_states * kernel.n_symbols
+
+    def test_kernel_matches_the_reference_construction(self):
+        """Same states, same numbering, same tables as compiling the
+        reference subset construction's DFA."""
+        wide = NFA()
+        s0 = wide.new_state()
+        wide.start = s0
+        one, two_a, two_b = wide.new_state(), wide.new_state(), wide.new_state()
+        wide.add_transition(s0, "x", one)
+        wide.add_transition(s0, "p", two_a)
+        wide.add_transition(two_a, "q", two_b)
+        wide.add_transition(two_b, None, s0)
+        wide.accepting = {one, two_b}
+        for nfa in (_simple_nfa(), wide):
+            assert determinize(nfa) == kernel_of(reference_determinize(nfa))
 
     def test_epsilon_heavy_nfa(self):
         nfa = NFA()
@@ -62,21 +81,22 @@ class TestDeterminize:
         nfa.add_transition(s1, "x", s2)
         nfa.add_transition(s2, None, s1)  # loop x+
         nfa.accepting = {s2}
-        dfa = determinize(nfa)
-        assert dfa.accepts(["x"])
-        assert dfa.accepts(["x", "x", "x"])
-        assert not dfa.accepts([])
+        kernel = determinize(nfa)
+        assert kernel.accepts(["x"])
+        assert kernel.accepts(["x", "x", "x"])
+        assert not kernel.accepts([])
 
 
 class TestDfaQueries:
     def test_prefix_viability(self):
-        dfa = determinize(_simple_nfa())
-        assert dfa.is_prefix_viable(["a"])
-        assert dfa.is_prefix_viable([])
-        assert not dfa.is_prefix_viable(["b"])
+        nfa = _simple_nfa()
+        for machine in (determinize(nfa), reference_determinize(nfa)):
+            assert machine.is_prefix_viable(["a"])
+            assert machine.is_prefix_viable([])
+            assert not machine.is_prefix_viable(["b"])
 
     def test_shortest_accepting_words(self):
-        dfa = determinize(_simple_nfa())
+        dfa = reference_determinize(_simple_nfa())
         words = dfa.shortest_accepting_words()
         assert ("c",) in words
         assert ("a", "b") in words
@@ -85,7 +105,7 @@ class TestDfaQueries:
 
 class TestWalker:
     def test_feed_sequence(self):
-        walker = DfaWalker(determinize(_simple_nfa()))
+        walker = DfaWalker(reference_determinize(_simple_nfa()))
         assert walker.feed("a")
         assert not walker.in_accepting_state
         assert walker.can_still_accept
@@ -93,18 +113,18 @@ class TestWalker:
         assert walker.in_accepting_state
 
     def test_violation_enters_dead_state(self):
-        walker = DfaWalker(determinize(_simple_nfa()))
+        walker = DfaWalker(reference_determinize(_simple_nfa()))
         assert not walker.feed("b")
         assert walker.in_dead_state
         assert not walker.can_still_accept
         assert walker.expected_symbols() == frozenset()
 
     def test_expected_symbols(self):
-        walker = DfaWalker(determinize(_simple_nfa()))
+        walker = DfaWalker(reference_determinize(_simple_nfa()))
         assert walker.expected_symbols() == {"a", "c"}
 
     def test_history(self):
-        walker = DfaWalker(determinize(_simple_nfa()))
+        walker = DfaWalker(reference_determinize(_simple_nfa()))
         walker.feed("a")
         walker.feed("b")
         assert walker.history == ["a", "b"]
@@ -125,7 +145,7 @@ class TestAlphabetCaching:
         assert None not in nfa.alphabet
 
     def test_dfa_alphabet_memo(self):
-        dfa = determinize(_simple_nfa())
+        dfa = reference_determinize(_simple_nfa())
         first = dfa.alphabet
         assert first == {"a", "b", "c"}
         assert dfa.alphabet is first  # frozen dataclass: memo never stales
@@ -158,8 +178,8 @@ class TestDeterminizeClosureMemo:
             return original(self, states)
 
         monkeypatch.setattr(NFA, "epsilon_closure", spy)
-        dfa = determinize(nfa)
-        assert dfa.accepts(["a", "b"]) and dfa.accepts(["c", "b"])
+        kernel = determinize(nfa)
+        assert kernel.accepts(["a", "b"]) and kernel.accepts(["c", "b"])
         assert len(seen) == 1  # memo: one DFS for the shared target set
 
 
@@ -176,10 +196,10 @@ class TestShortestWordsBfs:
         nfa.add_transition(s0, "p", two_a)
         nfa.add_transition(two_a, "q", two_b)
         nfa.accepting = {one, two_b}
-        dfa = determinize(nfa)
+        dfa = reference_determinize(nfa)
         words = dfa.shortest_accepting_words()
         assert words == [("x",), ("p", "q")]
 
     def test_limit_is_respected(self):
-        dfa = determinize(_simple_nfa())
+        dfa = reference_determinize(_simple_nfa())
         assert len(dfa.shortest_accepting_words(limit=1)) == 1

@@ -1,4 +1,5 @@
-"""The compiled DFA kernel: table layout, bitmasks, walker semantics."""
+"""The table kernel: layout, bitmasks, walker semantics, checked against
+the reference dict DFA."""
 
 from __future__ import annotations
 
@@ -6,11 +7,13 @@ import pickle
 
 import pytest
 
-from repro.fsm.automaton import DFA, NFA, determinize
+from repro.fsm.automaton import NFA, determinize
 from repro.fsm.kernel import DfaKernel, KernelWalker
 
+from . import reference
 
-def _simple_dfa() -> DFA:
+
+def _simple_nfa() -> NFA:
     """(a b) | c"""
     nfa = NFA()
     start = nfa.new_state()
@@ -21,18 +24,31 @@ def _simple_dfa() -> DFA:
     nfa.add_transition(mid, "b", end)
     nfa.add_transition(start, "c", end)
     nfa.accepting = {end}
-    return determinize(nfa)
+    return nfa
+
+
+def _simple_kernel() -> DfaKernel:
+    return determinize(_simple_nfa())
+
+
+def _simple_dfa() -> reference.DFA:
+    return reference.determinize(_simple_nfa())
+
+
+def _empty_word_kernel() -> DfaKernel:
+    """An ORDER matching only the empty word: one accepting state, no
+    transitions."""
+    return DfaKernel.from_dfa(0, {0}, ({},))
 
 
 class TestCompilation:
     def test_symbols_are_interned_sorted(self):
-        kernel = _simple_dfa().kernel
+        kernel = _simple_kernel()
         assert kernel.symbols == ("a", "b", "c")
         assert kernel.symbol_ids == {"a": 0, "b": 1, "c": 2}
 
     def test_explicit_dead_state_is_appended(self):
-        dfa = _simple_dfa()
-        kernel = dfa.kernel
+        dfa, kernel = _simple_dfa(), _simple_kernel()
         assert kernel.n_states == dfa.state_count + 1
         assert kernel.dead == dfa.state_count
         # Every transition out of the dead state loops back to it.
@@ -41,20 +57,18 @@ class TestCompilation:
             assert kernel.table[base + offset] == kernel.dead
 
     def test_table_matches_dict_transitions(self):
-        dfa = _simple_dfa()
-        kernel = dfa.kernel
+        dfa, kernel = _simple_dfa(), _simple_kernel()
         for state, moves in enumerate(dfa.transitions):
             for symbol in kernel.symbols:
                 expected = moves.get(symbol, kernel.dead)
                 assert kernel.step(state, symbol) == expected
 
     def test_unknown_symbol_steps_to_dead(self):
-        kernel = _simple_dfa().kernel
+        kernel = _simple_kernel()
         assert kernel.step(kernel.start, "nope") == kernel.dead
 
     def test_accepting_and_live_masks(self):
-        dfa = _simple_dfa()
-        kernel = dfa.kernel
+        dfa, kernel = _simple_dfa(), _simple_kernel()
         for state in range(dfa.state_count):
             assert kernel.is_accepting(state) == (state in dfa.accepting)
             assert kernel.is_live(state) == dfa._can_reach_accepting(state)
@@ -62,21 +76,13 @@ class TestCompilation:
         assert not kernel.is_live(kernel.dead)
 
     def test_expected_symbols_per_state(self):
-        dfa = _simple_dfa()
-        kernel = dfa.kernel
+        dfa, kernel = _simple_dfa(), _simple_kernel()
         for state, moves in enumerate(dfa.transitions):
             assert kernel.expected_symbols(state) == frozenset(moves)
         assert kernel.expected_symbols(kernel.dead) == frozenset()
 
-    def test_dfa_memoizes_its_kernel(self):
-        dfa = _simple_dfa()
-        assert dfa.kernel is dfa.kernel
-
     def test_empty_alphabet_kernel(self):
-        # An ORDER matching only the empty word: one accepting state,
-        # no transitions.
-        dfa = DFA(0, frozenset({0}), ({},))
-        kernel = dfa.kernel
+        kernel = _empty_word_kernel()
         assert kernel.n_symbols == 0
         assert kernel.accepts([])
         assert not kernel.accepts(["x"])
@@ -88,21 +94,19 @@ class TestCompilation:
 
 class TestWholeWordQueries:
     def test_accepts_parity(self):
-        dfa = _simple_dfa()
-        kernel = dfa.kernel
+        dfa, kernel = _simple_dfa(), _simple_kernel()
         for word in ([], ["c"], ["a"], ["a", "b"], ["a", "b", "c"], ["b"]):
             assert kernel.accepts(word) == dfa.accepts(word)
 
     def test_prefix_viability_parity(self):
-        dfa = _simple_dfa()
-        kernel = dfa.kernel
+        dfa, kernel = _simple_dfa(), _simple_kernel()
         for word in ([], ["a"], ["b"], ["c"], ["a", "b"]):
             assert kernel.is_prefix_viable(word) == dfa.is_prefix_viable(word)
 
 
 class TestKernelWalker:
     def test_feed_sequence(self):
-        walker = KernelWalker(_simple_dfa().kernel)
+        walker = KernelWalker(_simple_kernel())
         assert walker.feed("a")
         assert not walker.in_accepting_state
         assert walker.can_still_accept
@@ -110,14 +114,14 @@ class TestKernelWalker:
         assert walker.in_accepting_state
 
     def test_violation_enters_dead_state(self):
-        walker = KernelWalker(_simple_dfa().kernel)
+        walker = KernelWalker(_simple_kernel())
         assert not walker.feed("b")
         assert walker.in_dead_state
         assert not walker.can_still_accept
         assert walker.expected_symbols() == frozenset()
 
     def test_reset_rewinds_in_place(self):
-        kernel = _simple_dfa().kernel
+        kernel = _simple_kernel()
         walker = KernelWalker(kernel)
         walker.feed("nope")
         assert walker.in_dead_state
@@ -127,30 +131,30 @@ class TestKernelWalker:
         assert walker.in_accepting_state
 
     def test_walker_is_slotted(self):
-        walker = KernelWalker(_simple_dfa().kernel)
+        walker = KernelWalker(_simple_kernel())
         with pytest.raises(AttributeError):
             walker.surprise = 1
 
     def test_replay_reports_no_violation_and_advances(self):
-        walker = KernelWalker(_simple_dfa().kernel)
+        walker = KernelWalker(_simple_kernel())
         assert walker.replay(["a", "b"]) == -1
         assert walker.in_accepting_state
 
     def test_replay_pinpoints_first_violating_index(self):
-        kernel = _simple_dfa().kernel
+        kernel = _simple_kernel()
         assert KernelWalker(kernel).replay(["a", "c"]) == 1
         assert KernelWalker(kernel).replay(["b", "a"]) == 0
         # Unknown labels violate exactly like illegal known ones.
         assert KernelWalker(kernel).replay(["a", "nope", "b"]) == 1
 
     def test_replay_on_a_dead_walker_flags_the_first_label(self):
-        walker = KernelWalker(_simple_dfa().kernel)
+        walker = KernelWalker(_simple_kernel())
         walker.feed("nope")
         assert walker.replay(["a"]) == 0
         assert walker.replay([]) == -1  # nothing fed, nothing violated
 
     def test_replay_matches_stepwise_feed(self):
-        kernel = _simple_dfa().kernel
+        kernel = _simple_kernel()
         for word in (["a", "b"], ["c"], ["a", "c"], ["b"], [], ["a", "x"]):
             stepper = KernelWalker(kernel)
             expected = -1
@@ -169,13 +173,12 @@ class TestKernelWalker:
     def test_liveness_is_o1_no_graph_traversal(self, monkeypatch):
         """``can_still_accept`` must never fall back to the reference
         DFS — the whole point of the precomputed live mask."""
-        dfa = _simple_dfa()
-        kernel = dfa.kernel  # built before the DFS is disarmed
+        kernel = _simple_kernel()
 
         def boom(self, state):  # pragma: no cover - must not run
             raise AssertionError("kernel liveness ran a graph traversal")
 
-        monkeypatch.setattr(DFA, "_can_reach_accepting", boom)
+        monkeypatch.setattr(reference.DFA, "_can_reach_accepting", boom)
         walker = KernelWalker(kernel)
         assert walker.can_still_accept
         walker.feed("a")
@@ -186,7 +189,7 @@ class TestKernelWalker:
 
 class TestValueSemantics:
     def test_pickle_roundtrip_preserves_everything(self):
-        kernel = _simple_dfa().kernel
+        kernel = _simple_kernel()
         clone = pickle.loads(pickle.dumps(kernel))
         assert clone == kernel
         assert clone.symbol_ids == kernel.symbol_ids
@@ -197,15 +200,5 @@ class TestValueSemantics:
         assert walker.in_accepting_state
 
     def test_structural_equality(self):
-        assert _simple_dfa().kernel == _simple_dfa().kernel
-        assert _simple_dfa().kernel != DFA(0, frozenset({0}), ({},)).kernel
-
-    def test_dfa_pickles_without_memos(self):
-        """The kernel memo must not ride along inside DFA pickles — the
-        disk cache persists the kernel as its own artefact."""
-        dfa = _simple_dfa()
-        dfa.kernel  # force the memo
-        clone = pickle.loads(pickle.dumps(dfa))
-        assert "_kernel" not in clone.__dict__
-        assert clone.accepts(["a", "b"])
-        assert clone.kernel == dfa.kernel  # rebuilt on demand, same value
+        assert _simple_kernel() == _simple_kernel()
+        assert _simple_kernel() != _empty_word_kernel()

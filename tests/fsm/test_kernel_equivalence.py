@@ -1,12 +1,13 @@
 """Equivalence property suite: table kernel vs. the reference dict DFA.
 
 For every bundled rule, the compiled :class:`~repro.fsm.kernel.DfaKernel`
-and the dict-based :class:`~repro.fsm.automaton.DFA` must agree on
-acceptance, prefix viability and expected symbols — over the rule's own
-enumerated accepting paths, over seeded random event sequences (legal
-symbols plus out-of-alphabet noise), through the dead state, and after
-an in-place walker reset. The dict DFA is the reference implementation;
-any divergence here is a kernel compilation bug.
+must equal, table for table, the kernel compiled from the reference
+subset construction in :mod:`tests.fsm.reference`, and the two machines
+must agree on acceptance, prefix viability and expected symbols — over
+the rule's own enumerated accepting paths, over seeded random event
+sequences (legal symbols plus out-of-alphabet noise), through the dead
+state, and after an in-place walker reset. The dict DFA is the
+reference implementation; any divergence here is a construction bug.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import random
 import pytest
 
 from repro.crysl import bundled_ruleset
-from repro.fsm import DfaWalker, KernelWalker
+from repro.fsm import KernelWalker
+
+from .reference import DfaWalker, kernel_of, reference_dfa
 
 #: Deterministic seeds — one fuzz campaign per rule per seed.
 SEEDS = (0xC0DE, 2026)
@@ -33,6 +36,14 @@ def ruleset():
 
 def _rules(ruleset):
     return [(rule, ruleset.compiled(rule)) for rule in ruleset]
+
+
+@pytest.mark.parametrize("name", [rule.simple_name for rule in bundled_ruleset()])
+def test_compiled_kernel_equals_the_reference_kernel(ruleset, name):
+    """Subset construction straight into the kernel numbers states and
+    fills tables exactly as compiling the reference DFA does."""
+    rule = ruleset.get(name)
+    assert ruleset.compiled(rule).kernel == kernel_of(reference_dfa(rule))
 
 
 def _assert_walkers_agree(reference: DfaWalker, kernel: KernelWalker, context):
@@ -53,7 +64,7 @@ def test_enumerated_paths_agree(ruleset):
     """Every enumerated accepting path is accepted by both machines,
     and every strict prefix of one is viable in both."""
     for rule, compiled in _rules(ruleset):
-        dfa, kernel = compiled.dfa, compiled.kernel
+        dfa, kernel = reference_dfa(rule), compiled.kernel
         for path in compiled.paths:
             labels = tuple(event.label for event in path)
             assert dfa.accepts(labels) and kernel.accepts(labels), (
@@ -70,7 +81,7 @@ def test_enumerated_paths_agree(ruleset):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_sequences_agree(ruleset, seed):
     for rule, compiled in _rules(ruleset):
-        dfa, kernel = compiled.dfa, compiled.kernel
+        dfa, kernel = reference_dfa(rule), compiled.kernel
         symbols = sorted(dfa.alphabet)
         rng = random.Random(seed ^ hash(rule.class_name) & 0xFFFFFFFF)
         for trial in range(SEQUENCES):
@@ -103,7 +114,7 @@ def test_dead_state_is_absorbing_in_both(ruleset, seed):
     """Once dead, always dead — no event (legal or not) revives either
     machine, and both report empty expectations throughout."""
     for rule, compiled in _rules(ruleset):
-        dfa, kernel = compiled.dfa, compiled.kernel
+        dfa, kernel = reference_dfa(rule), compiled.kernel
         symbols = sorted(dfa.alphabet)
         rng = random.Random(seed)
         reference, walker = DfaWalker(dfa), KernelWalker(kernel)
@@ -123,7 +134,7 @@ def test_post_reset_matches_fresh_reference(ruleset, seed):
     kernel walker in place; that must equal a brand-new reference
     walker, even from deep inside (or past the end of) a protocol."""
     for rule, compiled in _rules(ruleset):
-        dfa, kernel = compiled.dfa, compiled.kernel
+        dfa, kernel = reference_dfa(rule), compiled.kernel
         symbols = sorted(dfa.alphabet)
         rng = random.Random(seed + 1)
         for trial in range(20):
@@ -144,7 +155,6 @@ def test_compiled_rule_kernel_is_shared_and_persistent_form_agrees(ruleset):
     artefact form carries exactly that kernel."""
     for rule, compiled in _rules(ruleset):
         assert compiled.kernel is compiled.kernel
-        assert compiled.kernel is compiled.dfa.kernel
         compiled.paths  # export refuses while the expensive slots are cold
         artefacts = compiled.export_artefacts()
         assert artefacts is not None

@@ -3,18 +3,24 @@ and as a property over random ORDER expressions."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crysl import ast, parse_rule
-from repro.fsm.build import rule_dfa
+from repro.fsm import paths as fsm_paths
+from repro.fsm.build import build_nfa, rule_dfa
+from repro.fsm.kernel import KernelWalker
 from repro.fsm.paths import (
     MAX_PATHS,
     PathExplosionError,
     enumerate_paths,
     path_parameter_count,
 )
+
+from .reference import DfaWalker, kernel_of, reference_dfa
 
 
 def _rule(order, events="a: m();\n b: n();\n c: o();"):
@@ -87,14 +93,36 @@ _orders = st.recursive(
 
 
 @settings(max_examples=60, deadline=None)
-@given(order=_orders)
-def test_random_orders_roundtrip_through_dfa(order):
+@given(order=_orders, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_orders_roundtrip_through_dfa(order, seed):
     """Property: for arbitrary ORDER expressions, every enumerated path
-    is accepted by the expression's own DFA."""
+    is accepted by the expression's own automaton, the kernel equals
+    the one compiled from the reference DFA, and on seeded random words
+    (plus an out-of-alphabet label) the kernel agrees with the
+    reference DFA and with direct NFA simulation."""
     rule = _rule(order)
-    dfa = rule_dfa(rule)
+    kernel = rule_dfa(rule)
+    reference = reference_dfa(rule)
+    nfa = build_nfa(rule.order, rule)
+    assert kernel == kernel_of(reference), order
     for path in enumerate_paths(rule):
-        assert dfa.accepts([event.label for event in path])
+        assert kernel.accepts([event.label for event in path])
+    rng = random.Random(seed)
+    pool = sorted(reference.alphabet) + ["__not_an_event__"]
+    for _ in range(20):
+        word = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        context = (order, word)
+        assert (
+            kernel.accepts(word) == reference.accepts(word) == nfa.accepts(word)
+        ), context
+        assert kernel.is_prefix_viable(word) == reference.is_prefix_viable(
+            word
+        ), context
+        walker, oracle = KernelWalker(kernel), DfaWalker(reference)
+        assert walker.expected_symbols() == oracle.expected_symbols(), context
+        for symbol in word:
+            assert walker.feed(symbol) == oracle.feed(symbol), context
+            assert walker.expected_symbols() == oracle.expected_symbols(), context
 
 
 def test_path_explosion_guard():
@@ -113,10 +141,16 @@ def test_path_explosion_error_names_the_rule():
     assert str(MAX_PATHS) in str(excinfo.value)
 
 
-def test_enumerate_paths_accepts_prebuilt_dfa():
+def test_enumerate_paths_accepts_prebuilt_kernel(monkeypatch):
     rule = _rule("a, (b | c)")
-    dfa = rule_dfa(rule)
-    assert labels(enumerate_paths(rule, dfa=dfa)) == labels(enumerate_paths(rule))
+    kernel = rule_dfa(rule)
+    expected = labels(enumerate_paths(rule))
+
+    def no_rebuild(rule):  # pragma: no cover - must not run
+        raise AssertionError("a prebuilt kernel was rebuilt")
+
+    monkeypatch.setattr(fsm_paths, "rule_dfa", no_rebuild)
+    assert labels(enumerate_paths(rule, kernel=kernel)) == expected
 
 
 def test_max_paths_override_tightens_the_bound():
@@ -129,37 +163,11 @@ def test_max_paths_override_tightens_the_bound():
     with pytest.raises(PathExplosionError) as excinfo:
         enumerate_paths(rule, max_paths=3)
     assert "3" in str(excinfo.value)
-
-
-def test_validated_set_skips_revalidation_for_a_cached_dfa():
-    """Paths recorded in ``validated`` bypass ``dfa.accepts`` entirely
-    on later enumerations against the same DFA."""
-    rule = _rule("a, (b | c)")
-    real = rule_dfa(rule)
-    calls = []
-
-    class CountingDFA:
-        def accepts(self, path):
-            calls.append(tuple(path))
-            return real.accepts(path)
-
-    dfa = CountingDFA()
-    validated: set[tuple[str, ...]] = set()
-    first = enumerate_paths(rule, dfa=dfa, validated=validated)
-    assert len(calls) == 2 and validated == {("a", "b"), ("a", "c")}
-    second = enumerate_paths(rule, dfa=dfa, validated=validated)
-    assert len(calls) == 2  # no further accepts() calls
-    assert labels(first) == labels(second)
-
-
-def test_fresh_dfa_ignores_a_stale_validated_set():
-    """Without a caller-supplied DFA the memo must not apply: the set
-    describes acceptance by *some other* automaton."""
-    rule = _rule("a, b")
-    poisoned = {("never", "checked")}
-    assert labels(enumerate_paths(rule, validated=poisoned)) == [("a", "b")]
-    # the stale memo is left untouched, not extended
-    assert poisoned == {("never", "checked")}
+    # Alternations and optionals are bounded too, not only sequences.
+    for order in ("a | b | c", "(a | b)?", "(a | b)*"):
+        assert len(enumerate_paths(_rule(order))) == 3
+        with pytest.raises(PathExplosionError):
+            enumerate_paths(_rule(order), max_paths=2)
 
 
 def test_diagnostics_record_path_counts_under_the_cap():

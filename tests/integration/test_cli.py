@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.usecases import use_case
 
@@ -14,6 +20,19 @@ def _hermetic_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cli-cache"))
     )
+
+
+def test_cli_import_does_not_load_networkx():
+    """A fresh interpreter importing the CLI pulls in no graph library:
+    every start of ``cognicrypt-gen`` would pay for the import."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro.cli; print('networkx' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_list_use_cases(capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.codegen.fluent import ConsideredRule, GenerationRequest
@@ -11,11 +10,8 @@ from repro.predicates import (
     RuleInstance,
     TemplateBinding,
     compute_links,
-    emission_order,
-    establishes_path,
     granted_predicates,
     invalidating_events,
-    link_graph,
     unlinked_instances,
 )
 
@@ -99,17 +95,6 @@ class TestLinking:
     def test_links_only_point_forward(self, ruleset):
         for link in compute_links(_pbe_instances(ruleset)):
             assert link.producer < link.consumer
-
-    def test_graph_establishes_paths(self, ruleset):
-        instances = _pbe_instances(ruleset)
-        graph = link_graph(instances, compute_links(instances))
-        assert establishes_path(graph, 0, 4)  # SecureRandom feeds SecretKeySpec
-        assert not establishes_path(graph, 4, 0)
-
-    def test_emission_order_is_topological(self, ruleset):
-        instances = _pbe_instances(ruleset)
-        order = emission_order(instances, compute_links(instances))
-        assert order == [0, 1, 2, 3, 4]
 
     def test_unlinked_detection(self, ruleset):
         instances = [
