@@ -1,4 +1,4 @@
-"""Persistent compilation cache for CrySL rule artefacts.
+"""Persistent compilation cache for CrySL rule artefacts, and the one LRU.
 
 The in-process compiled-rule cache (``RuleSet.compiled``) makes *warm*
 generation free; this package makes *cold starts* cheap too, by
@@ -18,8 +18,14 @@ Attach a store to a rule set and every consumer of that set benefits::
 The CLI does exactly this by default (``--cache-dir`` / ``--no-cache``),
 and the parallel batch engine (``generate_many(jobs=N)``) warm-starts
 each worker process from the same store.
+
+:class:`LRUCache` is the one bounded in-memory memo of the repo. The
+engine's generate-result cache uses it memory-only; the per-function
+summary cache (:class:`repro.sast.summary_cache.SummaryCache`) gives it
+a :class:`PickleStore` disk tier so a fresh process starts warm.
 """
 
+from .lru import LRUCache
 from .store import (
     SCHEMA_VERSION,
     CacheDirectoryError,
@@ -37,5 +43,6 @@ __all__ = [
     "CacheEvent",
     "DiskRuleCache",
     "LoadResult",
+    "LRUCache",
     "PickleStore",
 ]

@@ -143,10 +143,11 @@ class PickleStore:
     """A directory of content-addressed, atomically written pickles.
 
     The generic machinery behind every persistent cache in the repo:
-    the compiled-rule store (:class:`DiskRuleCache`) and the
-    per-function summary store (:mod:`repro.sast.summary_cache`) both
-    configure one of these with their own file suffix, payload type
-    and schema version. Entries are validated on load — a corrupt,
+    the compiled-rule store (:class:`DiskRuleCache`) subclasses it, and
+    the per-function summary cache (:mod:`repro.sast.summary_cache`)
+    plugs one in as the disk tier of its :class:`~repro.cache.LRUCache`.
+    Each configures its own file suffix, payload type and schema
+    version. Entries are validated on load — a corrupt,
     mistyped or schema-drifted pickle is evicted and recomputed by the
     caller, never surfaced as an exception.
 

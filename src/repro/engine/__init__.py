@@ -20,9 +20,9 @@ from .core import (
     EngineRequestError,
     GenerateRequest,
     GenerateResult,
+    ResultKey,
     expand_analyze_paths,
 )
-from .result_cache import ResultCache, ResultKey
 from .server import PROTOCOL_VERSION, EngineServer
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "GenerateRequest",
     "GenerateResult",
     "PROTOCOL_VERSION",
-    "ResultCache",
     "ResultKey",
     "SupervisedWorkerPool",
     "SupervisorConfig",

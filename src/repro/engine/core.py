@@ -28,10 +28,11 @@ ids and counters move under an internal lock, per-request compile
 deltas are captured through context-local sinks
 (:func:`repro.crysl.compiled.track_compile_deltas`), rule compilation
 is single-flight on the rule set, and repeated identical generate
-requests are answered from a bounded LRU
-:class:`~repro.engine.result_cache.ResultCache` that ``refresh_rules``
-invalidates. Only ``refresh_rules`` and parallel requests serialize
-against each other (they swap or share the process worker pool).
+requests are answered from a bounded :class:`~repro.cache.LRUCache`
+keyed by :class:`ResultKey`, which a dirty ``refresh_rules`` clears
+together with the summary cache. Only ``refresh_rules`` and parallel
+requests serialize against each other (they swap or share the process
+worker pool).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from ..codegen import (
     GenerationError,
     TemplateError,
 )
+from ..cache.lru import LRUCache
 from ..cache.store import SCHEMA_VERSION
 from ..codegen.parallel import run_batch
 from ..crysl import CrySLError, RuleRepository, RuleSet, bundled_ruleset
@@ -61,7 +63,6 @@ from ..sast.summary_cache import SummaryCache
 from ..trace import Trace, activate as activate_trace
 from ..workers import SupervisedWorkerPool, SupervisorConfig
 from .breaker import BreakerConfig, BreakerRegistry, CircuitOpenError
-from .result_cache import DEFAULT_CAPACITY, ResultCache, ResultKey
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..cache import DiskRuleCache
@@ -72,6 +73,34 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: Engine-level pipeline stages (beyond the paper's Figure 6).
 SERVE_STAGE = register_stage("serve")
 REPOSITORY_STAGE = register_stage("repository")
+
+#: Default number of memoized generate results a resident engine keeps.
+#: ``CryptoGenEngine(result_cache_size=0)`` disables the result cache
+#: (tests and benchmarks use it to measure the uncached pipeline).
+DEFAULT_CAPACITY = 256
+
+
+@dataclass(frozen=True)
+class ResultKey:
+    """The identity of one generate request, by content not by path.
+
+    An edited template misses (the digest covers its content), and any
+    rule change misses (the rule-set fingerprint is part of the key).
+    """
+
+    #: sha256 of the template source bytes
+    template_digest: str
+    #: the module name the template was generated under
+    name: str
+    #: sha256 content fingerprint of the serving rule set
+    ruleset_fingerprint: str
+    #: effective verify flag (request override folded in)
+    verify: bool
+    #: effective path-explosion bound (None = pipeline default)
+    max_paths: int | None
+    #: compiled-artefact schema version (pipeline semantics tag)
+    schema_version: int
+
 
 class EngineRequestError(ValueError):
     """A malformed request (missing/conflicting fields)."""
@@ -268,12 +297,9 @@ class CryptoGenEngine:
 
             cache = DiskRuleCache(cache_dir)
         self._cache = cache
-        # The resident per-function summary store. It outlives
-        # _build_services on purpose: entries are keyed by rule-set
-        # fingerprint, so a rule refresh invalidates exactly the dead
-        # fingerprint's entries instead of dropping the whole cache.
-        # With a disk cache, summaries persist beside the compiled-rule
-        # artefacts so a fresh engine starts warm.
+        # The resident per-function summary store. With a disk cache,
+        # summaries persist beside the compiled-rule artefacts so a
+        # fresh engine starts warm.
         if summary_cache_dir is None and cache is not None:
             summary_cache_dir = cache.directory / "summaries"
         self.summary_cache = SummaryCache(summary_cache_dir)
@@ -292,8 +318,9 @@ class CryptoGenEngine:
         #: touch the process worker pool, which must not be torn down
         #: mid-batch. Serial generate/analyze never take it.
         self._batch_lock = threading.Lock()
-        #: memo of completed generate requests (see engine.result_cache)
-        self.result_cache: "ResultCache[GeneratedModule]" = ResultCache(
+        #: memo of completed generate requests; hits share the module
+        #: object, so nothing may mutate a cached GeneratedModule
+        self.result_cache: "LRUCache[ResultKey, GeneratedModule]" = LRUCache(
             result_cache_size
         )
         #: per-(op, input-fingerprint) circuit breakers — a poisoned
@@ -328,12 +355,15 @@ class CryptoGenEngine:
     def _build_services(self, ruleset: RuleSet) -> None:
         """(Re)build generator + analyzer around one frozen rule set.
 
-        Also invalidates the result cache: memoized modules were
-        generated under the *previous* rule set, and even though the
-        fingerprint key would make them unreachable, dropping them
-        keeps the cache from pinning dead rule-set snapshots.
+        Also clears both memo caches: their entries were computed under
+        the *previous* rule set, and even though the fingerprint in
+        every key makes them unreachable, dropping them keeps the
+        caches from pinning dead rule-set snapshots.
         """
         self.result_cache.clear()
+        dropped = self.summary_cache.clear()
+        if dropped:
+            self.diagnostics.count(SUMMARY_INVALIDATIONS, dropped)
         self.context = GenerationContext(
             ruleset=ruleset,
             registry=self._registry,
@@ -433,7 +463,7 @@ class CryptoGenEngine:
         file returns None and lets the pipeline produce the structured
         error (errors are never cached).
         """
-        if not self.result_cache.enabled:
+        if self.result_cache.capacity <= 0:
             return None
         if request.source is not None:
             digest = hashlib.sha256(request.source.encode("utf-8")).hexdigest()
@@ -536,7 +566,7 @@ class CryptoGenEngine:
         request_id = self._next_request_id(request.request_id)
         key = self._result_key(request)
         if key is not None:
-            hit = self.result_cache.get(key)
+            hit = self.result_cache.load(key)
             if hit is not None:
                 return self._cached_result(request_id, hit)
             self.diagnostics.count("result_cache.misses")
@@ -590,7 +620,7 @@ class CryptoGenEngine:
         if module is not None:
             module.diagnostics.trace = trace
             if key is not None and error is None:
-                self.result_cache.put(key, module)
+                self.result_cache.store(key, module)
         self._count_request()
         return GenerateResult(
             request_id=request_id,
@@ -757,7 +787,6 @@ class CryptoGenEngine:
                 "engine has no rule repository (constructed without rules_dir)"
             )
         with self._batch_lock:
-            old_fingerprint = self.ruleset.fingerprint
             with self.diagnostics.stage(REPOSITORY_STAGE):
                 report = self._repository.refresh()
             self.diagnostics.count("repository.refreshes")
@@ -773,14 +802,6 @@ class CryptoGenEngine:
                 self.diagnostics.count(
                     "repository.relinked", len(report.relinked)
                 )
-                # Function summaries computed under the old rule set are
-                # dead — their keys embed the old fingerprint, so drop
-                # them by that fingerprint (entries for other rule sets,
-                # e.g. a concurrent A/B, are untouched).
-                dropped = self.summary_cache.invalidate_fingerprint(
-                    old_fingerprint
-                )
-                self.diagnostics.count(SUMMARY_INVALIDATIONS, dropped)
                 self._build_services(self._repository.ruleset)
         return report
 

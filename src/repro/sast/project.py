@@ -232,7 +232,7 @@ class ProjectAnalyzer:
         with trace_span("sast:analyze"):
             for ref in graph.order():
                 ir = graph.functions[ref]
-                entry = cache.load(keys[ref], fingerprint=fingerprint)
+                entry = cache.load(keys[ref])
                 if entry is not None and entry.ref == str(ref):
                     # Replay: the cached findings and summary are what
                     # analysis would produce — the key covers the source
@@ -265,7 +265,6 @@ class ProjectAnalyzer:
                         tracked_objects=scratch.tracked_objects,
                         summary=summary,
                     ),
-                    fingerprint=fingerprint,
                 )
                 module_result = results[ir.module]
                 module_result.findings.extend(scratch.findings)

@@ -36,29 +36,25 @@ content key with three layers:
 
 Because invalidation is content-addressed, no dirty-tracking is
 needed: when a file changes, only its functions and their caller/SCC
-cone compute new keys and miss; everything else hits. The cache has a
-bounded in-memory tier (per resident engine) and an optional
-persistent tier backed by the same atomic pickle machinery as the
-compiled-rule store (:class:`repro.cache.PickleStore`), so a fresh
-process starts warm too.
+cone compute new keys and miss; everything else hits. The cache is the
+repo's one bounded LRU (:class:`repro.cache.LRUCache`, per resident
+engine) with an optional persistent tier backed by the same atomic
+pickle machinery as the compiled-rule store
+(:class:`repro.cache.PickleStore`), so a fresh process starts warm too.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
+from ..cache.lru import LRUCache
 from ..cache.store import PickleStore
 from .callgraph import CallGraph, FunctionRef
 from .report import Finding
 from .summaries import FunctionSummary
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    pass
 
 #: Version of the cached per-function analysis payload *and* of the
 #: analyzer semantics baked into it. Bump on any change to the
@@ -69,7 +65,7 @@ SUMMARY_SCHEMA_VERSION = 1
 _SUFFIX = ".summary.pkl"
 
 #: In-memory entries a resident engine keeps (LRU beyond this).
-DEFAULT_MEMORY_ENTRIES = 8192
+DEFAULT_CAPACITY = 8192
 
 
 @dataclass(frozen=True)
@@ -145,168 +141,38 @@ def compute_summary_keys(
     return keys
 
 
-class SummaryCache:
-    """A two-tier (memory + optional disk) store of function analyses.
+class SummaryCache(LRUCache[str, CachedFunctionAnalysis]):
+    """The per-function analysis memo: an :class:`~repro.cache.LRUCache`
+    of :data:`DEFAULT_CAPACITY` entries, with a :class:`PickleStore`
+    disk tier when a directory is given.
 
     Thread-safe: a resident engine's concurrently served ``analyze``
-    requests share one instance. The in-memory tier is a bounded LRU;
-    the disk tier (when a directory is given) uses the same
+    requests share one instance. The disk tier uses the same
     atomic-pickle, validate-on-load machinery as the compiled-rule
     store, so corrupt or schema-drifted entries are evicted and
-    recomputed, never surfaced.
-
-    ``invalidate_fingerprint`` drops every in-memory entry recorded
-    under one rule-set fingerprint — the ``refresh-rules`` hook. (Disk
-    entries of a dead fingerprint are simply unreachable: the
-    fingerprint is part of every key.)
+    recomputed, never surfaced. Entries of a dead rule set need no
+    index: the rule-set fingerprint is part of every key, and the
+    engine clears the memory tier when it swaps rule sets.
     """
 
     def __init__(
         self,
         directory: str | Path | None = None,
         *,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
+        capacity: int = DEFAULT_CAPACITY,
         schema_version: int = SUMMARY_SCHEMA_VERSION,
     ):
         self.schema_version = schema_version
-        self.memory_entries = memory_entries
-        self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, CachedFunctionAnalysis]" = OrderedDict()
-        #: fingerprint -> keys recorded under it (for invalidation)
-        self._by_fingerprint: dict[str, set[str]] = {}
-        self._store: PickleStore | None = None
+        disk = None
         if directory is not None:
-            self._store = PickleStore(
+            disk = PickleStore(
                 directory,
                 suffix=_SUFFIX,
                 payload_type=CachedFunctionAnalysis,
                 schema_version=schema_version,
             )
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.evictions = 0
-        self.disk_hits = 0
+        super().__init__(capacity, disk=disk)
 
     @property
     def directory(self) -> Path | None:
-        return self._store.directory if self._store is not None else None
-
-    @property
-    def persistent(self) -> bool:
-        return self._store is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    # ------------------------------------------------------------------
-    # load / store
-    # ------------------------------------------------------------------
-
-    def load(
-        self, key: str, *, fingerprint: str
-    ) -> CachedFunctionAnalysis | None:
-        """The cached analysis for one key, or None (a miss)."""
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                return entry
-        if self._store is not None:
-            result = self._store.load(key)
-            if result.hit:
-                entry = result.artefacts
-                with self._lock:
-                    self.hits += 1
-                    self.disk_hits += 1
-                    self._remember(key, fingerprint, entry)
-                return entry
-        with self._lock:
-            self.misses += 1
-        return None
-
-    def store(
-        self, key: str, entry: CachedFunctionAnalysis, *, fingerprint: str
-    ) -> None:
-        """Record one function's analysis under its content key."""
-        with self._lock:
-            self.stores += 1
-            self._remember(key, fingerprint, entry)
-        if self._store is not None:
-            self._store.store(key, entry)
-
-    def _remember(
-        self, key: str, fingerprint: str, entry: CachedFunctionAnalysis
-    ) -> None:
-        """Insert into the LRU tier (caller holds the lock)."""
-        self._memory[key] = entry
-        self._memory.move_to_end(key)
-        self._by_fingerprint.setdefault(fingerprint, set()).add(key)
-        while len(self._memory) > self.memory_entries > 0:
-            evicted, _ = self._memory.popitem(last=False)
-            self.evictions += 1
-            for keys in self._by_fingerprint.values():
-                keys.discard(evicted)
-
-    # ------------------------------------------------------------------
-    # invalidation
-    # ------------------------------------------------------------------
-
-    def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop every in-memory entry keyed under one rule-set
-        fingerprint (``refresh-rules``); returns how many were dropped."""
-        with self._lock:
-            keys = self._by_fingerprint.pop(fingerprint, set())
-            dropped = 0
-            for key in keys:
-                if self._memory.pop(key, None) is not None:
-                    dropped += 1
-            self.invalidations += dropped
-            return dropped
-
-    def clear(self) -> int:
-        """Drop every in-memory entry (the disk tier is left alone)."""
-        with self._lock:
-            dropped = len(self._memory)
-            self._memory.clear()
-            self._by_fingerprint.clear()
-            self.invalidations += dropped
-            return dropped
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups, 0.0 when nothing has been looked up."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return self.hits / lookups if lookups else 0.0
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable counter snapshot (the ``stats`` op)."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "entries": len(self._memory),
-                "memory_entries": self.memory_entries,
-                "persistent": self._store is not None,
-                "hits": self.hits,
-                "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "stores": self.stores,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "hit_rate": self.hits / lookups if lookups else 0.0,
-            }
-
-    def __repr__(self) -> str:
-        return (
-            f"<SummaryCache entries={len(self)} hits={self.hits} "
-            f"misses={self.misses} "
-            f"disk={'on' if self._store is not None else 'off'}>"
-        )
+        return self.disk.directory if self.disk is not None else None

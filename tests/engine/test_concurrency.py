@@ -10,9 +10,7 @@ shared worker pool interleaves execution.
 
 from __future__ import annotations
 
-import json
 import shutil
-import socket as socketlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -20,13 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.crysl import RuleSet
-from repro.engine import (
-    AnalyzeRequest,
-    CryptoGenEngine,
-    EngineServer,
-    GenerateRequest,
-)
+from repro.engine import AnalyzeRequest, CryptoGenEngine, GenerateRequest
 from repro.usecases import use_case
+
+from .conftest import roundtrip
 
 TEMPLATE = str(use_case(1).template_path())
 THREADS = 16
@@ -138,38 +133,18 @@ class TestMixedStress:
 
 
 class TestPerConnectionOrdering:
-    def _start_server(self, tmp_path) -> tuple[EngineServer, Path, threading.Thread]:
-        path = tmp_path / "engine.sock"
-        server = EngineServer(CryptoGenEngine(), workers=4)
-        thread = threading.Thread(
-            target=server.serve_socket, args=(path,), daemon=True
-        )
-        thread.start()
-        for _ in range(200):
-            if path.exists():
-                break
-            thread.join(0.05)
-        assert path.exists()
-        return server, path, thread
-
-    def test_two_pipelined_clients_get_ordered_responses(self, tmp_path):
-        server, path, thread = self._start_server(tmp_path)
+    def test_two_pipelined_clients_get_ordered_responses(self, socket_server):
+        server, path, thread = socket_server(workers=4)
         per_client = 10
 
         def client(tag: str) -> list[dict]:
-            sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-            sock.connect(str(path))
-            payload = "".join(
-                json.dumps({"id": f"{tag}-{n}", "op": "ping"}) + "\n"
-                for n in range(per_client)
+            return roundtrip(
+                path,
+                [
+                    {"id": f"{tag}-{n}", "op": "ping"}
+                    for n in range(per_client)
+                ],
             )
-            sock.sendall(payload.encode())
-            reader = sock.makefile("r", encoding="utf-8")
-            responses = [
-                json.loads(reader.readline()) for _ in range(per_client)
-            ]
-            sock.close()
-            return responses
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [pool.submit(client, tag) for tag in ("a", "b")]
@@ -186,10 +161,6 @@ class TestPerConnectionOrdering:
             )
             assert all(r["ok"] for r in responses)
 
-        stop = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-        stop.connect(str(path))
-        stop.sendall(b'{"id": "stop", "op": "shutdown"}\n')
-        stop.makefile("r", encoding="utf-8").readline()
-        stop.close()
+        roundtrip(path, [{"id": "stop", "op": "shutdown"}])
         thread.join(10.0)
         assert not thread.is_alive()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.diagnostics import SUMMARY_INVALIDATIONS
 from repro.engine import (
     AnalyzeRequest,
     CryptoGenEngine,
@@ -270,10 +271,18 @@ class TestRepositoryBackedEngine:
     def test_clean_refresh_keeps_services(self, rules_copy):
         engine = CryptoGenEngine(rules_dir=rules_copy)
         engine.generate(GenerateRequest(template=TEMPLATE))
+        engine.analyze(
+            AnalyzeRequest(sources={"m.py": "def f():\n    return 1\n"})
+        )
+        results, summaries = len(engine.result_cache), len(engine.summary_cache)
+        assert results > 0 and summaries > 0
         context_before = engine.context
         report = engine.refresh_rules()
         assert not report.dirty
         assert engine.context is context_before  # no rebuild
+        # neither memo cache is cleared when no rule changed
+        assert len(engine.result_cache) == results
+        assert len(engine.summary_cache) == summaries
         engine.close()
 
     def test_refresh_invalidates_stale_summaries(self, rules_copy, tmp_path):
@@ -287,13 +296,19 @@ class TestRepositoryBackedEngine:
         assert first.ok and first.reanalyzed_functions > 0
         warm = engine.analyze(AnalyzeRequest(paths=(str(target),)))
         assert warm.reanalyzed_functions == 0
+        engine.generate(GenerateRequest(template=TEMPLATE))
 
         rule = rules_copy / "SecureRandom.crysl"
         text = rule.read_text(encoding="utf-8")
         rule.write_text(text.replace("ENSURES", "ENSURES "), encoding="utf-8")
+        held = len(engine.summary_cache)
+        assert held > 0 and len(engine.result_cache) > 0
         report = engine.refresh_rules()
         assert report.dirty
         assert engine.summary_cache.invalidations > 0
+        # one policy: a dirty refresh clears both memo caches
+        assert len(engine.result_cache) == len(engine.summary_cache) == 0
+        assert engine.diagnostics.counter(SUMMARY_INVALIDATIONS) == held
 
         after = engine.analyze(AnalyzeRequest(paths=(str(target),)))
         assert after.ok and after.reanalyzed_functions > 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import json
-import socket as socketlib
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -40,6 +39,8 @@ from repro.engine import (
 )
 from repro.usecases import use_case
 from repro.workers import PoolStalledError, TaskOutcome
+
+from .conftest import roundtrip
 
 TEMPLATE = str(use_case(1).template_path())
 TEMPLATE_2 = str(use_case(2).template_path())
@@ -754,32 +755,6 @@ CHAOS_CLIENTS = 4
 CHAOS_PER_CLIENT = 50
 
 
-def _start_socket_server(
-    tmp_path: Path, engine: CryptoGenEngine, **kwargs
-) -> tuple[EngineServer, Path, threading.Thread]:
-    path = tmp_path / "chaos.sock"
-    server = EngineServer(engine, **kwargs)
-    thread = threading.Thread(
-        target=server.serve_socket, args=(path,), daemon=True
-    )
-    thread.start()
-    deadline = time.monotonic() + 10.0
-    while not path.exists():
-        assert time.monotonic() < deadline, "server socket never appeared"
-        time.sleep(0.01)
-    return server, path, thread
-
-
-def _roundtrip(path: Path, requests: list[dict]) -> list[dict]:
-    sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-    sock.connect(str(path))
-    sock.sendall("".join(json.dumps(r) + "\n" for r in requests).encode())
-    reader = sock.makefile("r", encoding="utf-8")
-    responses = [json.loads(reader.readline()) for _ in requests]
-    sock.close()
-    return responses
-
-
 def _chaos_requests(tag: int) -> list[dict]:
     """One client's 50-request mix: generates, analyzes, pool batches."""
     requests = []
@@ -808,17 +783,19 @@ def _chaos_requests(tag: int) -> list[dict]:
 
 
 @pytest.mark.slow
-def test_chaos_storm_zero_failures_and_healthy_finish(tmp_path, monkeypatch):
+def test_chaos_storm_zero_failures_and_healthy_finish(
+    tmp_path, monkeypatch, socket_server
+):
     monkeypatch.setenv(faults.FAULTS_ENV, CHAOS_SPEC)
     faults.reset()  # re-arm the lazy environment load in this process
     engine = CryptoGenEngine(cache_dir=tmp_path / "cache")
-    server, path, thread = _start_socket_server(tmp_path, engine)
+    server, path, thread = socket_server(engine)
 
     failures: list[str] = []
     responses_per_client: dict[int, int] = {}
 
     def client(tag: int) -> None:
-        responses = _roundtrip(path, _chaos_requests(tag))
+        responses = roundtrip(path, _chaos_requests(tag))
         responses_per_client[tag] = len(responses)
         for response in responses:
             if not isinstance(response, dict) or "ok" not in response:
@@ -843,9 +820,9 @@ def test_chaos_storm_zero_failures_and_healthy_finish(tmp_path, monkeypatch):
         tag: CHAOS_PER_CLIENT for tag in range(CHAOS_CLIENTS)
     }
 
-    [stats] = _roundtrip(path, [{"id": "stats", "op": "stats"}])
-    [health] = _roundtrip(path, [{"id": "health", "op": "health"}])
-    _roundtrip(path, [{"id": "bye", "op": "shutdown"}])
+    [stats] = roundtrip(path, [{"id": "stats", "op": "stats"}])
+    [health] = roundtrip(path, [{"id": "health", "op": "health"}])
+    roundtrip(path, [{"id": "bye", "op": "shutdown"}])
     thread.join(30.0)
 
     # The storm actually stormed: the supervisor restarted the pool at

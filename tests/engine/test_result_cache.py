@@ -1,4 +1,6 @@
-"""The bounded LRU result cache (:mod:`repro.engine.result_cache`)."""
+"""The engine's generate-result cache (an :class:`repro.cache.LRUCache`
+keyed by :class:`repro.engine.ResultKey`); the LRU contract itself is
+in ``tests/cache/test_lru.py``."""
 
 from __future__ import annotations
 
@@ -8,63 +10,40 @@ from pathlib import Path
 import pytest
 
 from repro.crysl import RuleSet
-from repro.engine import CryptoGenEngine, GenerateRequest, ResultCache
+from repro.engine import CryptoGenEngine, GenerateRequest
 from repro.usecases import use_case
 
 TEMPLATE = str(use_case(1).template_path())
 
 
+def variant(engine, tag):
+    """Generate the template as inline source, made distinct by ``tag``."""
+    source = Path(TEMPLATE).read_text(encoding="utf-8") + f"\n# {tag}\n"
+    return engine.generate(GenerateRequest(source=source, name="t.py"))
+
+
 class TestResultCacheUnit:
-    def test_hit_miss_counters(self):
-        cache: ResultCache[str] = ResultCache(capacity=4)
-        assert cache.get("a") is None
-        cache.put("a", "A")
-        assert cache.get("a") == "A"
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
     def test_lru_eviction_order(self):
-        cache: ResultCache[int] = ResultCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh 'a' to most-recent
-        cache.put("c", 3)  # overflows: 'b' is now the LRU victim
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.evictions == 1
-
-    def test_put_existing_key_updates_in_place(self):
-        cache: ResultCache[int] = ResultCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("a", 2)
-        assert len(cache) == 1
-        assert cache.get("a") == 2
-        assert cache.evictions == 0
-
-    def test_zero_capacity_disables(self):
-        cache: ResultCache[int] = ResultCache(capacity=0)
-        assert not cache.enabled
-        cache.put("a", 1)
-        assert len(cache) == 0
-        assert cache.get("a") is None
+        engine = CryptoGenEngine(
+            ruleset=RuleSet.bundled(), result_cache_size=2
+        )
+        variant(engine, "a")
+        variant(engine, "b")
+        assert variant(engine, "a").cached  # refresh 'a' to most-recent
+        variant(engine, "c")  # overflows: 'b' is now the LRU victim
+        assert engine.result_cache.evictions == 1
+        assert variant(engine, "a").cached and variant(engine, "c").cached
+        assert not variant(engine, "b").cached
+        engine.close()
 
     def test_clear(self):
-        cache: ResultCache[int] = ResultCache(capacity=4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
-    def test_to_dict_shape(self):
-        cache: ResultCache[int] = ResultCache(capacity=4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("zzz")
-        snapshot = cache.to_dict()
-        assert snapshot["size"] == 1 and snapshot["capacity"] == 4
-        assert snapshot["hits"] == 1 and snapshot["misses"] == 1
-        assert snapshot["hit_rate"] == 0.5
+        engine = CryptoGenEngine(ruleset=RuleSet.bundled())
+        variant(engine, "a")
+        variant(engine, "b")
+        assert engine.result_cache.clear() == 2
+        assert len(engine.result_cache) == 0
+        assert not variant(engine, "a").cached
+        engine.close()
 
 
 class TestEngineIntegration:

@@ -14,6 +14,8 @@ import pytest
 from repro.engine import CryptoGenEngine, EngineServer, PROTOCOL_VERSION
 from repro.usecases import use_case
 
+from .conftest import roundtrip
+
 TEMPLATE = str(use_case(1).template_path())
 
 
@@ -321,7 +323,9 @@ class TestServeStage:
 
 
 class TestShutdownUnderLoad:
-    def test_sigterm_drains_with_ordered_responses_and_exit_0(self, tmp_path):
+    def test_sigterm_drains_with_ordered_responses_and_exit_0(
+        self, serve_process
+    ):
         """SIGTERM with a loaded queue and crashing workers exits 0.
 
         A real server subprocess gets a pipelined burst (every dispatch
@@ -330,85 +334,51 @@ class TestShutdownUnderLoad:
         requests must all flush — in per-connection ``seq`` order, no
         gaps — and the process must exit 0.
         """
-        import os
         import signal
         import socket as socketlib
-        import subprocess
-        import sys
-        import time
 
-        import repro
-
-        sock_path = tmp_path / "drain.sock"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
-        env["REPRO_FAULTS"] = "slow_task:1.0,worker_crash:0.5,seed=7"
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from repro.cli import main; "
-                "sys.exit(main(sys.argv[1:]))",
-                "serve",
-                "--socket",
-                str(sock_path),
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+        process, sock_path = serve_process(
+            env={"REPRO_FAULTS": "slow_task:1.0,worker_crash:0.5,seed=7"}
         )
-        try:
-            deadline = time.monotonic() + 30.0
-            while not sock_path.exists():
-                assert process.poll() is None, "server died during startup"
-                assert time.monotonic() < deadline, "socket never appeared"
-                time.sleep(0.05)
+        client = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        client.connect(str(sock_path))
+        requests = [{"id": n, "op": "ping"} for n in range(1, 11)]
+        # One supervised-pool batch: worker_crash p=0.5 guarantees
+        # the drain overlaps pool restarts, not just queued pings.
+        requests.insert(
+            5,
+            {
+                "id": "batch",
+                "op": "generate",
+                "templates": [TEMPLATE, TEMPLATE],
+                "jobs": 2,
+            },
+        )
+        payload = "".join(json.dumps(r) + "\n" for r in requests)
+        client.sendall(payload.encode())
+        time.sleep(0.3)  # let the reader ingest the burst
+        process.send_signal(signal.SIGTERM)
 
-            client = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-            client.connect(str(sock_path))
-            requests = [{"id": n, "op": "ping"} for n in range(1, 11)]
-            # One supervised-pool batch: worker_crash p=0.5 guarantees
-            # the drain overlaps pool restarts, not just queued pings.
-            requests.insert(
-                5,
-                {
-                    "id": "batch",
-                    "op": "generate",
-                    "templates": [TEMPLATE, TEMPLATE],
-                    "jobs": 2,
-                },
-            )
-            payload = "".join(json.dumps(r) + "\n" for r in requests)
-            client.sendall(payload.encode())
-            time.sleep(0.3)  # let the reader ingest the burst
-            process.send_signal(signal.SIGTERM)
+        reader = client.makefile("r", encoding="utf-8")
+        responses = [json.loads(line) for line in reader]
+        client.close()
+        assert process.wait(timeout=60) == 0
 
-            reader = client.makefile("r", encoding="utf-8")
-            responses = [json.loads(line) for line in reader]
-            client.close()
-            assert process.wait(timeout=60) == 0
-
-            # Every accepted request answered, in order, no gaps.
-            assert responses, "drain flushed nothing"
-            assert [r["seq"] for r in responses] == list(
-                range(1, len(responses) + 1)
-            )
-            for response in responses:
-                assert response["ok"], response
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        # Every accepted request answered, in order, no gaps.
+        assert responses, "drain flushed nothing"
+        assert [r["seq"] for r in responses] == list(
+            range(1, len(responses) + 1)
+        )
+        for response in responses:
+            assert response["ok"], response
 
 
 class TestAcceptLoopResilience:
     def test_fd_exhaustion_on_accept_backs_off_and_keeps_serving(
-        self, tmp_path, monkeypatch
+        self, socket_server, monkeypatch
     ):
         import errno
         import socket as socketlib
-        import threading
-        import time
 
         real_accept = socketlib.socket.accept
         state = {"failed": False}
@@ -420,25 +390,13 @@ class TestAcceptLoopResilience:
             return real_accept(self)
 
         monkeypatch.setattr(socketlib.socket, "accept", flaky_accept)
-        path = tmp_path / "emfile.sock"
-        server = EngineServer(CryptoGenEngine())
-        thread = threading.Thread(
-            target=server.serve_socket, args=(path,), daemon=True
-        )
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while not path.exists():
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
+        server, path, thread = socket_server()
 
         # The first accept attempt hits EMFILE; the loop backs off and
         # accepts this same connection on the next readiness pass.
-        client = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-        client.connect(str(path))
-        client.sendall(b'{"id": 1, "op": "ping"}\n{"id": 2, "op": "shutdown"}\n')
-        reader = client.makefile("r", encoding="utf-8")
-        ping = json.loads(reader.readline())
-        client.close()
+        ping, _ = roundtrip(
+            path, [{"id": 1, "op": "ping"}, {"id": 2, "op": "shutdown"}]
+        )
         thread.join(10.0)
 
         assert ping["ok"] and ping["op"] == "ping"
@@ -446,28 +404,11 @@ class TestAcceptLoopResilience:
 
 
 class TestSocketTransport:
-    def test_unix_socket_round_trip(self, tmp_path):
-        import socket as socketlib
-        import threading
-
-        path = tmp_path / "engine.sock"
-        server = EngineServer(CryptoGenEngine())
-        thread = threading.Thread(
-            target=server.serve_socket, args=(path,), daemon=True
+    def test_unix_socket_round_trip(self, socket_server):
+        server, path, thread = socket_server()
+        ping, shutdown = roundtrip(
+            path, [{"id": 1, "op": "ping"}, {"id": 2, "op": "shutdown"}]
         )
-        thread.start()
-        for _ in range(100):
-            if path.exists():
-                break
-            thread.join(0.05)
-
-        client = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-        client.connect(str(path))
-        client.sendall(b'{"id": 1, "op": "ping"}\n{"id": 2, "op": "shutdown"}\n')
-        reader = client.makefile("r", encoding="utf-8")
-        ping = json.loads(reader.readline())
-        shutdown = json.loads(reader.readline())
-        client.close()
         thread.join(5.0)
 
         assert ping["ok"] and ping["op"] == "ping"

@@ -1,10 +1,10 @@
 """The content-addressed per-function summary cache.
 
 Covers the three contract layers: key computation (content-addressed,
-cone-by-construction), the two-tier store itself (LRU, disk
-persistence, corruption eviction, fingerprint invalidation), and the
-analyzer integration (warm replays are byte-identical, edits re-analyze
-exactly the caller cone).
+cone-by-construction), the disk tier and defaults of the store itself
+(persistence, corruption eviction, schema drift; the LRU contract is in
+``tests/cache/test_lru.py``), and the analyzer integration (warm
+replays are byte-identical, edits re-analyze exactly the caller cone).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.sast import ProjectAnalyzer
 from repro.sast.callgraph import CallGraph, FunctionRef
 from repro.sast.report import Finding, FindingKind
 from repro.sast.summary_cache import (
+    DEFAULT_CAPACITY,
     SUMMARY_SCHEMA_VERSION,
     CachedFunctionAnalysis,
     SummaryCache,
@@ -133,46 +134,28 @@ def entry(ref="m:f", findings=(), tracked=0):
 
 
 class TestSummaryCacheStore:
-    def test_miss_then_hit(self):
-        cache = SummaryCache()
-        assert cache.load("k", fingerprint="fp") is None
-        cache.store("k", entry(), fingerprint="fp")
-        assert cache.load("k", fingerprint="fp") == entry()
-        assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
-
-    def test_hit_rate(self):
-        cache = SummaryCache()
-        assert cache.hit_rate == 0.0
-        cache.store("k", entry(), fingerprint="fp")
-        cache.load("k", fingerprint="fp")
-        cache.load("other", fingerprint="fp")
-        assert cache.hit_rate == 0.5
-
     def test_lru_eviction(self):
-        cache = SummaryCache(memory_entries=2)
-        cache.store("a", entry("m:a"), fingerprint="fp")
-        cache.store("b", entry("m:b"), fingerprint="fp")
-        cache.load("a", fingerprint="fp")  # refresh a
-        cache.store("c", entry("m:c"), fingerprint="fp")  # evicts b
-        assert cache.load("b", fingerprint="fp") is None
-        assert cache.load("a", fingerprint="fp") is not None
+        cache = SummaryCache(capacity=2)
+        cache.store("a", entry("m:a"))
+        cache.store("b", entry("m:b"))
+        cache.load("a")  # refresh a
+        cache.store("c", entry("m:c"))  # evicts b
+        assert cache.load("b") is None
+        assert cache.load("a") is not None
         assert cache.evictions == 1
 
-    def test_invalidate_fingerprint_drops_only_that_fingerprint(self):
+    def test_clear(self, tmp_path):
         cache = SummaryCache()
-        cache.store("old1", entry(), fingerprint="fp-old")
-        cache.store("old2", entry(), fingerprint="fp-old")
-        cache.store("new1", entry(), fingerprint="fp-new")
-        assert cache.invalidate_fingerprint("fp-old") == 2
-        assert cache.load("old1", fingerprint="fp-old") is None
-        assert cache.load("new1", fingerprint="fp-new") is not None
-        assert cache.invalidations == 2
-
-    def test_clear(self):
-        cache = SummaryCache()
-        cache.store("a", entry(), fingerprint="fp")
+        cache.store("a", entry())
         assert cache.clear() == 1
         assert len(cache) == 0
+        assert cache.load("a") is None
+        # a persistent cache keeps its disk tier across a clear
+        persistent = SummaryCache(tmp_path / "summaries")
+        persistent.store("a", entry())
+        assert persistent.clear() == 1
+        assert persistent.load("a") is not None
+        assert persistent.disk_hits == 1
 
     def test_disk_tier_round_trip(self, tmp_path):
         finding = Finding(
@@ -184,25 +167,25 @@ class TestSummaryCacheStore:
             file="m.py",
         )
         first = SummaryCache(tmp_path / "summaries")
-        first.store("k", entry(findings=[finding], tracked=2), fingerprint="fp")
+        first.store("k", entry(findings=[finding], tracked=2))
         # a fresh cache over the same directory hits from disk
         second = SummaryCache(tmp_path / "summaries")
-        loaded = second.load("k", fingerprint="fp")
+        loaded = second.load("k")
         assert loaded is not None
         assert loaded.findings == (finding,)
         assert loaded.tracked_objects == 2
         assert second.disk_hits == 1
         # and the entry is now promoted to memory
-        second.load("k", fingerprint="fp")
+        second.load("k")
         assert second.disk_hits == 1
 
     def test_corrupt_disk_entry_is_evicted_not_surfaced(self, tmp_path):
         cache = SummaryCache(tmp_path / "summaries")
-        cache.store("k", entry(), fingerprint="fp")
-        path = cache._store.path_for("k")
+        cache.store("k", entry())
+        path = cache.disk.path_for("k")
         path.write_bytes(b"not a pickle")
         fresh = SummaryCache(tmp_path / "summaries")
-        assert fresh.load("k", fingerprint="fp") is None
+        assert fresh.load("k") is None
         assert not path.exists()
 
     def test_schema_drift_on_disk_misses(self, tmp_path):
@@ -214,15 +197,16 @@ class TestSummaryCacheStore:
             tracked_objects=0,
             summary=None,
         )
-        cache._store.path_for("k").write_bytes(
+        cache.disk.path_for("k").write_bytes(
             pickle.dumps(stale, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        assert cache.load("k", fingerprint="fp") is None
+        assert cache.load("k") is None
 
-    def test_to_dict_shape(self):
+    def test_to_dict_shape(self, tmp_path):
         stats = SummaryCache().to_dict()
         assert set(stats) >= {
-            "entries",
+            "size",
+            "capacity",
             "hits",
             "misses",
             "stores",
@@ -231,6 +215,9 @@ class TestSummaryCacheStore:
             "hit_rate",
             "persistent",
         }
+        assert stats["capacity"] == DEFAULT_CAPACITY
+        assert not stats["persistent"]
+        assert SummaryCache(tmp_path / "summaries").to_dict()["persistent"]
 
 
 class TestAnalyzerIntegration:
