@@ -17,6 +17,7 @@ from repro.cache import (
 )
 from repro.crysl import RuleSet, parse_rule
 from repro.crysl.ruleset import check_rule
+from repro.sast import ProjectAnalyzer
 
 RULE_SOURCE = (
     "SPEC x.Digest\n"
@@ -230,6 +231,25 @@ class TestRuleSetIntegration:
         assert stats.path_enumerations == 0
         assert stats.disk_hits == 1
         assert stats.disk_misses == 0
+
+    def test_warm_project_analysis_rebuilds_no_dfa(
+        self, tmp_path, use_case_project
+    ):
+        """A ProjectAnalyzer over a cache primed for all 15 bundled rules
+        analyzes the eleven use cases without building a single DFA."""
+        primed = RuleSet.bundled().freeze()
+        primed.attach_disk_cache(DiskRuleCache(tmp_path / "cache"))
+        assert _prime(primed) > 0
+        ruleset = RuleSet.bundled().freeze()
+        ruleset.attach_disk_cache(DiskRuleCache(tmp_path / "cache"))
+        result = ProjectAnalyzer(ruleset).analyze_sources(use_case_project)
+        assert result.is_secure, result.render()
+        stats = ruleset.compile_stats
+        assert stats.dfa_builds == 0, (
+            f"warm analysis rebuilt {stats.dfa_builds} DFAs"
+        )
+        assert stats.path_enumerations == 0
+        assert stats.disk_hits > 0
 
     def test_source_edit_recomputes(self, tmp_path):
         _prime(_ruleset(tmp_path))

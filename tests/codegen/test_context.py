@@ -64,6 +64,7 @@ def test_warm_batch_rebuilds_nothing(cold_context):
     assert len(cold) == len(USE_CASES)
     cold_builds = sum(m.diagnostics.counter(DFA_BUILDS) for m in cold)
     assert cold_builds > 0  # the cold pass really did compile rules
+    assert sum(m.diagnostics.counter(PATH_ENUMERATIONS) for m in cold) > 0
 
     warm = generator.generate_many(templates)
     for module in warm:

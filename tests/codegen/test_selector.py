@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.codegen.selector as selector_module
+from repro.codegen import CrySLBasedCodeGenerator, parse_template_file
 from repro.codegen.fluent import ConsideredRule, GenerationRequest
 from repro.codegen.selector import (
     GenerationError,
@@ -12,6 +14,7 @@ from repro.codegen.selector import (
 )
 from repro.constraints.model import BindingSource
 from repro.predicates.instances import RuleInstance, TemplateBinding
+from repro.usecases import use_case
 
 
 def _instances(ruleset, *considered):
@@ -234,6 +237,72 @@ class TestPushUpFallback:
         plan = select(instances)
         assert "key" in plan.instances[0].pushed_up
         assert plan.score[0] >= 1
+
+
+class TestAblations:
+    """§3.3's design choices, each switched off on a real use case."""
+
+    @staticmethod
+    def _pbe_instances(ruleset):
+        model = parse_template_file(use_case(3).template_path())
+        return model.primary_class.methods[0].chain.to_instances(ruleset)
+
+    def test_ablation_no_predicate_linking(self, ruleset, monkeypatch):
+        assert select(self._pbe_instances(ruleset)).score[0] == 0
+        monkeypatch.setattr(
+            selector_module, "compute_links", lambda instances, **_: []
+        )
+
+        plan = select(self._pbe_instances(ruleset))
+
+        # Still generates (compilability over completeness), but the
+        # wrapper signature degrades: objects links would supply get
+        # pushed up.
+        assert plan.score[0] >= 3
+
+    def test_ablation_greedy_search(self, ruleset, monkeypatch):
+        """Past MAX_COMBINATIONS the selector falls back to a greedy
+        per-instance choice; on use case 3 it finds the exhaustive plan."""
+        exhaustive = select(self._pbe_instances(ruleset))
+        monkeypatch.setattr(selector_module, "MAX_COMBINATIONS", 0)
+
+        greedy = select(self._pbe_instances(ruleset))
+
+        assert greedy.score == exhaustive.score
+        assert [p.labels for p in greedy.instances] == [
+            p.labels for p in exhaustive.instances
+        ]
+
+    def test_ablation_value_set_order(self, ruleset):
+        """§4: the authors re-ordered `in {..}` sets to steer selection —
+        first-of-set is semantic. Reversing the KeyGenerator key-size set
+        flips the generated key size while staying rule-compliant."""
+        from repro.crysl import RuleSet, parse_rule
+        from repro.crysl.typecheck import check_rule
+
+        source = use_case(4).template_path().read_text()
+        reversed_rule = check_rule(
+            parse_rule(
+                "SPEC repro.jca.KeyGenerator\n"
+                "OBJECTS\n    str algorithm;\n    int key_size;\n"
+                "    repro.jca.SecureRandom random;\n    repro.jca.SecretKey key;\n"
+                "EVENTS\n    g1: this = get_instance(algorithm);\n"
+                "    i1: init(key_size);\n    i2: init(key_size, random);\n"
+                "    gk: key = generate_key();\n"
+                "ORDER\n    g1, (i1 | i2), gk\n"
+                "CONSTRAINTS\n    algorithm in {\"AES\"};\n"
+                "    key_size in {256, 192, 128};\n"  # reversed preference
+                "ENSURES\n    generated_key[key, algorithm];\n"
+            )
+        )
+        modified = RuleSet(list(ruleset))
+        modified.add(reversed_rule)
+
+        module = CrySLBasedCodeGenerator(modified).generate_from_source(
+            source, "uc4"
+        )
+        assert "key_generator.init(256)" in module.source  # was 128
+        module.compile_check()
 
 
 class TestErrors:

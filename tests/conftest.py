@@ -27,6 +27,17 @@ def analyzer(ruleset):
     return CrySLAnalyzer(ruleset)
 
 
+@pytest.fixture(scope="session")
+def use_case_project():
+    """All eleven generated Table-1 use cases, as one project's sources."""
+    from repro.usecases import USE_CASES, generate_use_case
+
+    return {
+        f"{case.slug}.py": generate_use_case(case.number).source
+        for case in USE_CASES
+    }
+
+
 @pytest.fixture()
 def project(tmp_path):
     """A fresh target project directory."""

@@ -60,6 +60,38 @@ class TestGenerate:
         assert engine.requests == 100
         engine.close()
 
+    def test_resident_engine_beats_cold_starts(self):
+        """Ten requests through one resident engine versus ten fresh
+        engines (the one-shot CLI shape, one private rule set each)."""
+        import time
+
+        from repro.crysl import RuleSet
+
+        requests = 10
+        engine = CryptoGenEngine(ruleset=RuleSet.bundled())
+        assert engine.generate(GenerateRequest(template=TEMPLATE)).ok
+
+        started = time.perf_counter()
+        resident = [
+            engine.generate(GenerateRequest(template=TEMPLATE))
+            for _ in range(requests)
+        ]
+        resident_s = time.perf_counter() - started
+        engine.close()
+
+        started = time.perf_counter()
+        cold = []
+        for _ in range(requests):
+            with CryptoGenEngine(ruleset=RuleSet.bundled()) as fresh:
+                cold.append(fresh.generate(GenerateRequest(template=TEMPLATE)))
+        cold_s = time.perf_counter() - started
+
+        assert all(r.ok for r in resident + cold)
+        # Resident means warm; every cold start re-pays the compile.
+        assert all(r.dfa_builds == 0 for r in resident)
+        assert all(r.dfa_builds > 0 for r in cold)
+        assert cold_s / resident_s > 1.0
+
     def test_inline_source(self, engine):
         source = Path(TEMPLATE).read_text(encoding="utf-8")
         result = engine.generate(

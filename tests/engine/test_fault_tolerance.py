@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults, workers
+from repro.crysl import RuleSet
 from repro.engine import (
     BreakerConfig,
     BreakerRegistry,
@@ -692,6 +693,88 @@ class TestAdmissionControl:
         # server must get a fresh admission slot.
         assert server._pending_depth() == 0
 
+    def test_overload_rejects_fast_with_bounded_p99(
+        self, monkeypatch, socket_server
+    ):
+        """A herd of 32 clients against max_pending=4 over 2 workers:
+        overflow is rejected at once with a retry hint, admitted work
+        completes, and p99 time-to-response stays bounded."""
+        clients = 32
+        engine = CryptoGenEngine(
+            ruleset=RuleSet.bundled(), result_cache_size=0
+        )
+        real_generate = engine.generate
+
+        def slow_generate(request):
+            time.sleep(0.05)
+            return real_generate(request)
+
+        monkeypatch.setattr(engine, "generate", slow_generate)
+        server, path, thread = socket_server(
+            engine, workers=2, max_pending=4, timeout=30.0
+        )
+
+        def timed(tag: int) -> tuple[dict, float]:
+            started = time.perf_counter()
+            [response] = roundtrip(
+                path, [{"id": f"c{tag}", "op": "generate", "template": TEMPLATE}]
+            )
+            return response, time.perf_counter() - started
+
+        # Warm the engine so admitted requests measure queueing, not
+        # cold DFA builds.
+        timed(-1)
+        barrier = threading.Barrier(clients + 1)
+        results: list[tuple[dict, float]] = []
+        lock = threading.Lock()
+
+        def client(tag: int) -> None:
+            barrier.wait()
+            outcome = timed(tag)
+            with lock:
+                results.append(outcome)
+
+        threads = [
+            threading.Thread(target=client, args=(tag,))
+            for tag in range(clients)
+        ]
+        for worker in threads:
+            worker.start()
+        barrier.wait()
+        for worker in threads:
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "client hung under overload"
+        timed(-2)  # the server still serves after the herd
+        roundtrip(path, [{"id": "bye", "op": "shutdown"}])
+        thread.join(30.0)
+
+        admitted, rejected, malformed = [], [], []
+        for response, elapsed in results:
+            if response.get("ok"):
+                admitted.append(elapsed)
+            elif (
+                response.get("error", {}).get("type") == "OverloadedError"
+                and response["error"].get("retry_after_ms", 0) > 0
+                and response["error"].get("retryable") is True
+            ):
+                rejected.append(elapsed)
+            else:
+                malformed.append(response)
+        assert not malformed, malformed[:3]
+
+        def p99(samples: list[float]) -> float:
+            ordered = sorted(samples)
+            return ordered[min(len(ordered) - 1, round(0.99 * (len(ordered) - 1)))]
+
+        # The herd is 8x the queue bound, so rejections must occur; an
+        # unbounded 32-deep queue over 2 workers would cost 0.8 s of
+        # queueing alone.
+        assert len(admitted) + len(rejected) == clients
+        assert rejected, "no request was load-shed despite 8x oversubscription"
+        assert admitted, "every request was rejected; admission over-shed"
+        assert p99(admitted + rejected) < 5.0
+        assert p99(rejected) < 1.0, "rejections must not queue"
+
     def test_queued_past_deadline_is_shed_without_running(self):
         server = EngineServer(CryptoGenEngine())
         try:
@@ -783,20 +866,21 @@ def _chaos_requests(tag: int) -> list[dict]:
 
 
 @pytest.mark.slow
-def test_chaos_storm_zero_failures_and_healthy_finish(
-    tmp_path, monkeypatch, socket_server
-):
-    monkeypatch.setenv(faults.FAULTS_ENV, CHAOS_SPEC)
-    faults.reset()  # re-arm the lazy environment load in this process
-    engine = CryptoGenEngine(cache_dir=tmp_path / "cache")
-    server, path, thread = socket_server(engine)
+def test_chaos_storm_zero_failures_and_healthy_finish(tmp_path, serve_process):
+    process, path = serve_process(
+        "--cache-dir",
+        str(tmp_path / "cache"),
+        "--serve-workers",
+        "4",
+        env={faults.FAULTS_ENV: CHAOS_SPEC},
+    )
 
     failures: list[str] = []
-    responses_per_client: dict[int, int] = {}
+    seqs: dict[int, list[int]] = {}
 
     def client(tag: int) -> None:
         responses = roundtrip(path, _chaos_requests(tag))
-        responses_per_client[tag] = len(responses)
+        seqs[tag] = [r.get("seq") for r in responses]
         for response in responses:
             if not isinstance(response, dict) or "ok" not in response:
                 failures.append(f"non-structured response: {response!r}")
@@ -816,14 +900,19 @@ def test_chaos_storm_zero_failures_and_healthy_finish(
         assert not worker.is_alive(), "chaos client hung"
 
     assert not failures, failures[:5]
-    assert responses_per_client == {
-        tag: CHAOS_PER_CLIENT for tag in range(CHAOS_CLIENTS)
+    # Every client got all its answers, in its own request order.
+    assert seqs == {
+        tag: list(range(1, CHAOS_PER_CLIENT + 1))
+        for tag in range(CHAOS_CLIENTS)
     }
 
     [stats] = roundtrip(path, [{"id": "stats", "op": "stats"}])
     [health] = roundtrip(path, [{"id": "health", "op": "health"}])
     roundtrip(path, [{"id": "bye", "op": "shutdown"}])
-    thread.join(30.0)
+    process.wait(timeout=30)
+    (tmp_path / "chaos-stats.json").write_text(
+        json.dumps({"stats": stats, "health": health}, indent=2)
+    )
 
     # The storm actually stormed: the supervisor restarted the pool at
     # least once (worker_crash p=0.2 over 24+ pool tasks), and the serve

@@ -77,6 +77,11 @@ class TestConsistencyWithDfa:
             for path in enumerate_paths(rule):
                 assert dfa.accepts([e.label for e in path]), rule.class_name
 
+    def test_cipher_kernel_and_path_count(self, ruleset):
+        cipher = ruleset.get("Cipher")
+        assert rule_dfa(cipher).accepts(["g1", "i1", "f1"])
+        assert len(enumerate_paths(cipher)) == 16
+
 
 # A recursive strategy over ORDER expressions with 3 event labels.
 _orders = st.recursive(

@@ -35,6 +35,42 @@ def test_cli_import_does_not_load_networkx():
     assert done.stdout.strip() == "False"
 
 
+def test_serve_stdin_compiles_once_and_reports_latency(tmp_path):
+    """Three pipelined generates on stdin to one ``serve`` process: every
+    response reports its latency, and the rules compile exactly once."""
+    import json
+
+    from repro.crysl import RuleSet
+    from repro.engine import CryptoGenEngine, GenerateRequest
+
+    template = str(use_case(1).template_path())
+    requests = [
+        {"id": n, "op": "generate", "template": template} for n in (1, 2, 3)
+    ] + [{"id": 4, "op": "shutdown"}]
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--no-cache"],
+        input="".join(json.dumps(r) + "\n" for r in requests),
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    responses = [json.loads(line) for line in done.stdout.splitlines()]
+    generates = [r for r in responses if r.get("op") == "generate"]
+    (tmp_path / "serve-traces.json").write_text(
+        json.dumps({r["id"]: r.get("trace") for r in generates}, indent=2)
+    )
+    assert len(generates) == 3, responses
+    assert all(r["ok"] for r in generates)
+    assert all(r["elapsed_ms"] > 0 for r in generates)
+    # Pipelined requests run concurrently and each rule's single-flight
+    # build is billed to whichever request won it: the builds may be
+    # split across requests, but they sum to one cold compile.
+    with CryptoGenEngine(ruleset=RuleSet.bundled()) as cold:
+        one_compile = cold.generate(GenerateRequest(template=template))
+    assert sum(r["dfa_builds"] for r in generates) == one_compile.dfa_builds > 0
+    assert all(r["warm"] == (r["dfa_builds"] == 0) for r in generates)
+
+
 def test_list_use_cases(capsys):
     assert main(["list-use-cases"]) == 0
     out = capsys.readouterr().out

@@ -332,3 +332,4 @@ class TestSuppressions:
         assert suppressed and active
         for entry in suppressed:
             assert entry["suppressions"][0]["kind"] == "inSource"
+            assert entry["partialFingerprints"]

@@ -251,6 +251,25 @@ class TestAnalyzerIntegration:
         assert cold.to_dict() == warm.to_dict()
         assert not warm.is_secure
 
+    def test_warm_replay_skips_summary_construction(
+        self, ruleset, use_case_project, monkeypatch
+    ):
+        """A repeat whole-project request over the eleven use cases
+        never enters ``analyze_ir`` and replays a byte-identical report."""
+        analyzer = ProjectAnalyzer(ruleset)
+        cold = analyzer.analyze_sources(use_case_project)
+        assert cold.reanalyzed_functions == cold.total_functions > 0
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("warm replay re-entered analyze_ir")
+
+        monkeypatch.setattr(analyzer.analyzer, "analyze_ir", forbidden)
+        warm = analyzer.analyze_sources(use_case_project)
+        assert warm.reanalyzed_functions == 0
+        assert warm.summary_cache_hits == warm.total_functions
+        assert warm.to_dict() == cold.to_dict()
+        assert warm.is_secure
+
     def test_edit_reanalyzes_only_the_cone(self, project_analyzer):
         project_analyzer.analyze_sources(SOURCES)
         edited = {**SOURCES, "helpers.py": "def make_iv():\n    return b'1' * 16\n"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.eval.rq5 import shape_holds
 from repro.study import (
     ScaleError,
     latin_square,
@@ -143,6 +144,14 @@ class TestAnalysis:
     def test_experience_profile(self, results):
         assert 4.0 < results.mean_experience < 6.5
         assert results.experience_usability_correlation_p > 0.05
+
+    def test_study_is_seed_robust(self):
+        """The qualitative pattern must not hinge on one lucky seed: at
+        least 8 of 10 seeds reproduce every headline claim."""
+        hits = sum(
+            shape_holds(run_study(seed=seed)) for seed in range(2018, 2028)
+        )
+        assert hits >= 8
 
     def test_larger_sample_tightens_effects(self):
         big = run_study(participants=400, seed=11)
