@@ -360,7 +360,7 @@ class DiskRuleCache(PickleStore):
 
     Counter *ownership* lives with the consumer: the
     :class:`~repro.crysl.ruleset.RuleSet` folds hit/miss/evict/write
-    movement into its :class:`~repro.crysl.compiled.CompileStats`; the
+    movement into its lifetime :class:`~repro.diagnostics.Diagnostics`; the
     cache itself only records structured :class:`CacheEvent`\\ s.
     """
 

@@ -200,12 +200,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     paths = expand_analyze_paths(args.paths)
     if not paths:
         raise _CLIError("no Python files to analyze")
-    engine = _build_engine(args)
-    result = engine.analyze(
-        AnalyzeRequest(
-            paths=tuple(str(p) for p in paths), jobs=resolve_jobs(args.jobs)
+    # Closing the engine flushes newly compiled rules to --cache-dir.
+    with _build_engine(args) as engine:
+        result = engine.analyze(
+            AnalyzeRequest(
+                paths=tuple(str(p) for p in paths),
+                jobs=resolve_jobs(args.jobs),
+            )
         )
-    )
     if result.error is not None:
         raise _CLIError(str(result.error))
     analysis = result.analysis

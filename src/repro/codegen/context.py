@@ -13,14 +13,13 @@ A context is *warm state*: it lives as long as its generator, and
 repeated generation through the same context — ``generate_many``, the
 CLI's multi-template mode, the eval harness — pays rule compilation
 exactly once. Each :meth:`run` yields a fresh per-run
-:class:`~repro.diagnostics.Diagnostics` and, on exit, stamps the
-compile-cache counter deltas into it and merges it into the cumulative
-record; with a disk cache attached, run exit also flushes newly
-compiled artefacts to disk and folds cache events into the run's
-warnings. Runs may execute concurrently from many threads over one
-shared rule set: per-run compile-counter movement is captured through
-a context-local delta sink
-(:func:`repro.crysl.compiled.track_compile_deltas`), so one request's
+:class:`~repro.diagnostics.Diagnostics` that records the rule set's
+compile-cache counts while the run lasts, and on exit merges it into
+the cumulative record; with a disk cache attached, run exit also
+flushes newly compiled artefacts to disk and folds cache events into
+the run's warnings. Runs may execute concurrently from many threads
+over one shared rule set: the recording is context-local
+(:meth:`repro.diagnostics.Diagnostics.recording`), so one request's
 DFA builds never leak into another request's record.
 """
 
@@ -33,7 +32,7 @@ from typing import Iterator
 from ..cache import DiskRuleCache
 from ..constraints.types import TypeRegistry, default_registry
 from ..crysl.ast import Rule
-from ..crysl.compiled import CompiledRule, track_compile_deltas
+from ..crysl.compiled import CompiledRule
 from ..crysl.ruleset import RuleSet, bundled_ruleset
 from ..diagnostics import (
     COMPILED_HITS,
@@ -48,6 +47,11 @@ from ..diagnostics import (
     Diagnostics,
 )
 from ..trace import span as trace_span
+
+#: Compile-cache keys every run reports, zero or not.
+_RUN_KEYS = (COMPILED_HITS, COMPILED_MISSES, DFA_BUILDS, PATH_ENUMERATIONS)
+#: Disk-cache keys every run reports while a disk cache is attached.
+_DISK_RUN_KEYS = (DISK_HITS, DISK_MISSES, DISK_WRITES, DISK_EVICTIONS)
 
 
 class GenerationContext:
@@ -86,30 +90,25 @@ class GenerationContext:
     def run(self) -> Iterator[Diagnostics]:
         """Scope one generation run; yields its private diagnostics.
 
-        On exit — success or failure — the rule-compilation counter
-        movement (cache hits/misses, DFA builds, path enumerations,
-        disk-cache traffic) observed during the run is recorded, newly
+        The run's record receives the rule set's compile-cache counts
+        (cache hits/misses, DFA builds, path enumerations, disk-cache
+        traffic) as they happen. On exit — success or failure — newly
         compiled artefacts are flushed to the attached disk cache (if
         any), and the run is merged into :attr:`diagnostics`.
         """
         diag = Diagnostics()
+        disk = self.ruleset.disk_cache is not None
+        for key in _RUN_KEYS + (_DISK_RUN_KEYS if disk else ()):
+            diag.count(key, 0)
         try:
-            with track_compile_deltas() as delta:
+            with diag.recording():
                 try:
                     yield diag
                 finally:
                     with trace_span("cache:flush"):
                         self.ruleset.flush_disk_cache()
         finally:
-            diag.count(COMPILED_HITS, delta.hits)
-            diag.count(COMPILED_MISSES, delta.misses)
-            diag.count(DFA_BUILDS, delta.dfa_builds)
-            diag.count(PATH_ENUMERATIONS, delta.path_enumerations)
-            if self.ruleset.disk_cache is not None:
-                diag.count(DISK_HITS, delta.disk_hits)
-                diag.count(DISK_MISSES, delta.disk_misses)
-                diag.count(DISK_WRITES, delta.disk_writes)
-                diag.count(DISK_EVICTIONS, delta.disk_evictions)
+            if disk:
                 for event in self.ruleset.drain_disk_cache_events():
                     if event.kind == "io-error":
                         diag.count(DISK_IO_ERRORS)

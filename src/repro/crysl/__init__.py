@@ -21,7 +21,7 @@ complete stand-alone front end for it:
 """
 
 from . import ast
-from .compiled import CompiledRule, CompileStats
+from .compiled import CompiledRule
 from .errors import (
     CrySLError,
     CrySLSemanticError,
@@ -36,7 +36,6 @@ from .ruleset import FrozenRuleSetError, RuleSet, bundled_ruleset, load_rule_fil
 from .typecheck import check_rule
 
 __all__ = [
-    "CompileStats",
     "CompiledRule",
     "CrySLError",
     "FrozenRuleSetError",

@@ -19,8 +19,9 @@ expensive by-products of one parsed rule —
 Instances are cached on the owning :class:`~repro.crysl.ruleset.
 RuleSet` (``RuleSet.compiled``), so chains, templates, the SAST
 analyzer and the eval table runners all pay compilation exactly once
-per rule. :class:`CompileStats` counts hits, misses and rebuilds; the
-diagnostics layer snapshots it around each run.
+per rule. The set's lifetime :class:`~repro.diagnostics.Diagnostics`
+counts hits, misses and rebuilds, and attributes each one to the run
+that caused it (:meth:`~repro.diagnostics.Diagnostics.recording`).
 
 The heavy derivations live in :mod:`repro.fsm` and
 :mod:`repro.predicates`, which import this package — hence the lazy,
@@ -30,104 +31,13 @@ function-level imports below.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
+from ..diagnostics import DFA_BUILDS, PATH_ENUMERATIONS, Diagnostics
 from . import ast
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from ..cache.store import CachedArtefacts
-
-#: Per-context stack of delta sinks (:func:`track_compile_deltas`).
-#: Every :meth:`CompileStats.bump` is mirrored into each active sink,
-#: so a request observes exactly the compilation work *its own thread*
-#: performed — under concurrent requests a ruleset-wide before/after
-#: snapshot would attribute one request's builds to another.
-_DELTA_SINKS: ContextVar["tuple[CompileStats, ...]"] = ContextVar(
-    "repro_compile_delta_sinks", default=()
-)
-
-
-@contextmanager
-def track_compile_deltas() -> Iterator["CompileStats"]:
-    """Collect this context's compile-counter movement into a sink.
-
-    Yields a fresh :class:`CompileStats` that accumulates every counter
-    bump performed by the current thread (more precisely, the current
-    :mod:`contextvars` context) for the duration of the block. Sinks
-    nest: an engine request's sink and the generation run's sink inside
-    it both see the same bumps. Under the single-flight compilation
-    guard the *winning* thread's sink records the build; waiters record
-    nothing — which is exactly their cost.
-    """
-    sink = CompileStats()
-    token = _DELTA_SINKS.set(_DELTA_SINKS.get() + (sink,))
-    try:
-        yield sink
-    finally:
-        _DELTA_SINKS.reset(token)
-
-
-@dataclass
-class CompileStats:
-    """Counters for one rule-compilation cache (one :class:`RuleSet`).
-
-    The ``disk_*`` counters track the optional persistent store
-    (:class:`~repro.cache.DiskRuleCache`) attached via
-    :meth:`~repro.crysl.ruleset.RuleSet.attach_disk_cache`: loads that
-    warm-started a rule (``disk_hits``), loads that fell through to a
-    recompute (``disk_misses``), corrupt/stale entries dropped
-    (``disk_evictions``) and artefacts persisted (``disk_writes``).
-
-    Mutation goes through :meth:`bump`, which is thread-safe and also
-    feeds any delta sinks active on the calling context
-    (:func:`track_compile_deltas`).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    dfa_builds: int = 0
-    path_enumerations: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_writes: int = 0
-    disk_evictions: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Atomically move one counter (and any active delta sinks)."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-        for sink in _DELTA_SINKS.get():
-            if sink is not self:
-                with sink._lock:
-                    setattr(sink, counter, getattr(sink, counter) + amount)
-
-    def snapshot(self) -> "CompileStats":
-        return replace(self)
-
-    def delta(self, earlier: "CompileStats") -> "CompileStats":
-        """Counter movement since an earlier :meth:`snapshot`."""
-        return CompileStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 def _mentioned_objects(expr: ast.ConstraintExpr) -> frozenset[str]:
     """All OBJECTS names a constraint tree references."""
@@ -179,7 +89,7 @@ class CompiledRule:
         "max_paths",
         "disk_key",
         "persisted",
-        "_stats",
+        "_diagnostics",
         "_lock",
         "_kernel",
         "_paths",
@@ -194,7 +104,7 @@ class CompiledRule:
     def __init__(
         self,
         rule: ast.Rule,
-        stats: CompileStats | None = None,
+        diagnostics: Diagnostics | None = None,
         *,
         max_paths: int | None = None,
     ):
@@ -208,7 +118,9 @@ class CompiledRule:
         #: True once the artefacts are known to be on disk (loaded from
         #: it, or written by ``RuleSet.flush_disk_cache``)
         self.persisted = False
-        self._stats = stats if stats is not None else CompileStats()
+        self._diagnostics = (
+            diagnostics if diagnostics is not None else Diagnostics()
+        )
         #: per-entry guard for the expensive lazy derivations; re-entrant
         #: because ``paths`` forces ``kernel`` while holding it
         self._lock = threading.RLock()
@@ -241,7 +153,7 @@ class CompiledRule:
                     from ..fsm.build import rule_dfa
 
                     self._kernel = rule_dfa(self.rule)
-                    self._stats.bump("dfa_builds")
+                    self._diagnostics.count_attributed(DFA_BUILDS)
                 kernel = self._kernel
         return kernel
 
@@ -261,7 +173,7 @@ class CompiledRule:
                             max_paths=self.max_paths,
                         )
                     )
-                    self._stats.bump("path_enumerations")
+                    self._diagnostics.count_attributed(PATH_ENUMERATIONS)
                 paths = self._paths
         return paths
 
@@ -326,15 +238,16 @@ class CompiledRule:
     def export_artefacts(self) -> "CachedArtefacts | None":
         """The persistable form of this rule's artefacts.
 
-        Returns ``None`` while the expensive derivations (kernel, paths)
-        have not been forced yet — there is nothing worth writing. The
-        cheap indexes are forced here so a persisted entry is complete.
+        Returns ``None`` while the kernel has not been built yet —
+        there is nothing worth writing. The paths (which an analysis
+        never forces) and the cheap indexes are forced here so a
+        persisted entry is complete.
         """
         with self._lock:
             return self._export_artefacts()
 
     def _export_artefacts(self) -> "CachedArtefacts | None":
-        if self._kernel is None or self._paths is None:
+        if self._kernel is None:
             return None
         from ..cache.store import CachedArtefacts, SCHEMA_VERSION
 
@@ -351,7 +264,7 @@ class CompiledRule:
             rule_class=self.rule.class_name,
             kernel=self._kernel,
             path_labels=tuple(
-                tuple(event.label for event in path) for path in self._paths
+                tuple(event.label for event in path) for path in self.paths
             ),
             expansions=dict(self._expansions),
             ensures_index={
@@ -438,15 +351,15 @@ class CompiledRule:
                 table = self._constraint_index
         return table.get(object_name, ())
 
-    def adopt_stats(self, stats: CompileStats) -> None:
-        """Re-home this entry's counters onto another cache's stats.
+    def adopt_diagnostics(self, diagnostics: Diagnostics) -> None:
+        """Count this entry's later builds into another rule set's record.
 
         Used when a compiled entry is carried from a predecessor rule
         set into its copy-on-write successor (``RuleSet.evolve``): the
         predecessor is discarded, so later lazy derivations must count
-        against the successor's :class:`CompileStats`.
+        against the successor.
         """
-        self._stats = stats
+        self._diagnostics = diagnostics
 
     def clear_link_memos(self) -> None:
         """Drop the ENSURES/REQUIRES-derived memo tables.

@@ -15,8 +15,17 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ..diagnostics import (
+    COMPILED_HITS,
+    COMPILED_MISSES,
+    DISK_EVICTIONS,
+    DISK_HITS,
+    DISK_MISSES,
+    DISK_WRITES,
+    Diagnostics,
+)
 from .ast import Rule
-from .compiled import CompiledRule, CompileStats
+from .compiled import CompiledRule
 from .errors import RuleNotFoundError
 from .parser import parse_rule
 from .typecheck import check_rule
@@ -49,6 +58,12 @@ class RuleSet:
     per-entry lock, exactly one DFA build); the losers wait on the
     winner's in-flight future instead of recompiling. Mutable
     (unfrozen) sets remain single-threaded setup objects.
+
+    The set's lifetime :attr:`diagnostics` counts its compile-cache
+    traffic — ``compiled_rules.*``, ``dfa.builds``,
+    ``paths.enumerations`` and ``disk_cache.*`` — and attributes every
+    count to the runs recording on the calling thread
+    (:meth:`~repro.diagnostics.Diagnostics.recording`).
     """
 
     def __init__(self, rules: list[Rule] | tuple[Rule, ...] = ()):
@@ -56,7 +71,8 @@ class RuleSet:
         self._by_simple: dict[str, list[Rule]] = {}
         self._frozen = False
         self._compiled: dict[str, CompiledRule] = {}
-        self._compile_stats = CompileStats()
+        #: lifetime compile-cache counters (see the class docstring)
+        self.diagnostics = Diagnostics()
         #: qualified class name -> rule source text (disk-cache keying)
         self._sources: dict[str, str] = {}
         self._disk_cache: "DiskRuleCache | None" = None
@@ -166,7 +182,7 @@ class RuleSet:
 
         The predecessor must be treated as retired after this call:
         carried entries are re-homed onto the successor's
-        :class:`CompileStats`, so further compilation through the old
+        :attr:`diagnostics`, so further compilation through the old
         set would count against the wrong cache. The successor is
         returned unfrozen; callers decide whether to freeze it.
         """
@@ -187,7 +203,7 @@ class RuleSet:
             if name in removed or name in replaced:
                 continue
             if name in fresh._by_qualified:
-                entry.adopt_stats(fresh._compile_stats)
+                entry.adopt_diagnostics(fresh.diagnostics)
                 fresh._compiled[name] = entry
         if self._disk_cache is not None:
             fresh._disk_cache = self._disk_cache
@@ -234,7 +250,7 @@ class RuleSet:
         with self._lock:
             entry = self._compiled.get(rule.class_name)
             if entry is not None and entry.rule is rule:
-                self._compile_stats.bump("hits")
+                self.diagnostics.count_attributed(COMPILED_HITS)
                 return entry
             flight = self._inflight.get(rule.class_name)
             owner = flight is None
@@ -249,14 +265,14 @@ class RuleSet:
             # count this call as the cache hit it effectively was.
             entry = flight.result()
             if entry.rule is rule:
-                self._compile_stats.bump("hits")
+                self.diagnostics.count_attributed(COMPILED_HITS)
                 return entry
             # The flight resolved for a different rule object (the rule
             # was replaced mid-creation on a mutable set): retry.
             return self.compiled(rule, max_paths=max_paths)
         try:
-            self._compile_stats.bump("misses")
-            entry = CompiledRule(rule, self._compile_stats, max_paths=max_paths)
+            self.diagnostics.count_attributed(COMPILED_MISSES)
+            entry = CompiledRule(rule, self.diagnostics, max_paths=max_paths)
             self._load_from_disk(entry)
             with self._lock:
                 self._compiled[rule.class_name] = entry
@@ -279,10 +295,10 @@ class RuleSet:
         entry.disk_key = self._disk_cache.key(source, max_paths=entry.max_paths)
         result = self._disk_cache.load(entry.disk_key)
         if result.evicted:
-            self._compile_stats.bump("disk_evictions")
+            self.diagnostics.count_attributed(DISK_EVICTIONS)
         if result.artefacts is not None:
             if entry.preload(result.artefacts):
-                self._compile_stats.bump("disk_hits")
+                self.diagnostics.count_attributed(DISK_HITS)
                 return
             # Preload refused the entry: it no longer matches the rule.
             self._disk_cache.evict(
@@ -290,15 +306,15 @@ class RuleSet:
                 f"{entry.rule.class_name}: entry does not match the rule; "
                 "recomputing",
             )
-            self._compile_stats.bump("disk_evictions")
-        self._compile_stats.bump("disk_misses")
+            self.diagnostics.count_attributed(DISK_EVICTIONS)
+        self.diagnostics.count_attributed(DISK_MISSES)
 
     def flush_disk_cache(self) -> int:
         """Persist every compiled-but-unwritten entry; returns the count.
 
         Idempotent and cheap when there is nothing new: entries loaded
         from disk, or already written, are skipped, as are entries
-        whose expensive artefacts were never forced.
+        whose kernel was never built.
         """
         if self._disk_cache is None:
             return 0
@@ -312,7 +328,7 @@ class RuleSet:
             if artefacts is None:
                 continue
             if self._disk_cache.store(entry.disk_key, artefacts):
-                self._compile_stats.bump("disk_writes")
+                self.diagnostics.count_attributed(DISK_WRITES)
                 entry.persisted = True
                 written += 1
         return written
@@ -322,11 +338,6 @@ class RuleSet:
         if self._disk_cache is None:
             return []
         return self._disk_cache.drain_events()
-
-    @property
-    def compile_stats(self) -> CompileStats:
-        """Hit/miss/rebuild counters for this set's compilation cache."""
-        return self._compile_stats
 
     def get(self, class_name: str) -> Rule:
         """Look up by qualified or (unambiguous) simple class name."""

@@ -12,6 +12,13 @@ a cumulative instance so batch drivers (``generate_many``, the eval
 harness) can report totals. ``cognicrypt-gen generate --stats`` prints
 :meth:`Diagnostics.render`; ``GeneratedModule.report_dict()`` embeds
 :meth:`Diagnostics.to_dict`.
+
+It is the one counter store: a rule set's compile cache, the worker
+pool supervisor and the serve daemon all count into a
+:class:`Diagnostics`. Work that a long-lived owner counts on behalf of
+a request — a rule set's DFA builds, say — is attributed to that
+request with :meth:`Diagnostics.recording` and
+:meth:`Diagnostics.count_attributed`.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -87,12 +95,13 @@ SUMMARY_INVALIDATIONS = "summary_cache.invalidations"
 
 #: Fault-tolerance counters. The disk-cache retry (repro.cache.store)
 #: counts absorbed transient I/O failures; the supervised worker pool
-#: (repro.workers) counts pool rebuilds, batch retries,
+#: (repro.workers) counts batches, pool rebuilds, batch retries,
 #: proactive worker recycles and serial-fallback batches; the circuit
 #: breakers (repro.engine.breaker) count trips and fast-fails; the
-#: serve admission layer (repro.engine.server) counts load-shed and
-#: overload rejections plus accept-loop fd exhaustion events.
+#: serve daemon (repro.engine.server) counts load-shed and overload
+#: rejections, deadline timeouts and accept-loop fd exhaustion events.
 DISK_IO_ERRORS = "disk_cache.io_errors"
+SUPERVISOR_BATCHES = "supervisor.batches"
 SUPERVISOR_RESTARTS = "supervisor.restarts"
 SUPERVISOR_RETRIES = "supervisor.retries"
 SUPERVISOR_RECYCLES = "supervisor.recycles"
@@ -102,6 +111,7 @@ BREAKER_FAST_FAILS = "breaker.fast_fails"
 SERVER_SHED = "server.shed_requests"
 SERVER_OVERLOADS = "server.overloads"
 SERVER_ACCEPT_ERRORS = "server.accept_errors"
+SERVER_TIMEOUTS = "server.timeouts"
 
 #: The parameter-resolution cascade of §3.3, tiers a–d.
 TIER_TEMPLATE = "params.tier_a_template"
@@ -122,6 +132,13 @@ _TIER_LABELS = (
 #: for its whole lifetime, so older ones are dropped — and counted in
 #: ``warnings_dropped`` — once this many are held.
 MAX_WARNINGS = 200
+
+#: The records the current context is recording into, innermost last
+#: (:meth:`Diagnostics.recording`). Context-local, so one request's
+#: attributed counts never land in a concurrent request's record.
+_RECORDING: "ContextVar[tuple[Diagnostics, ...]]" = ContextVar(
+    "repro_diagnostics_recording", default=()
+)
 
 
 @dataclass
@@ -217,6 +234,36 @@ class Diagnostics:
     def count(self, key: str, amount: int = 1) -> None:
         with self._lock:
             self.counters[key] = self.counters.get(key, 0) + amount
+
+    def count_attributed(self, key: str, amount: int = 1) -> None:
+        """Count here and in every record the caller is recording into.
+
+        For owners shared across requests (a rule set's compile cache):
+        their own record keeps the lifetime total, and the request that
+        caused the work sees it in its own record too.
+        """
+        self.count(key, amount)
+        for sink in _RECORDING.get():
+            if sink is not self:
+                sink.count(key, amount)
+
+    @contextmanager
+    def recording(self) -> Iterator["Diagnostics"]:
+        """Receive every :meth:`count_attributed` made in this context.
+
+        Scoped to the current thread (more precisely, the current
+        :mod:`contextvars` context) for the duration of the block.
+        Recordings nest: an engine request's record and the generation
+        run's record inside it both receive the same counts. Under the
+        rule set's single-flight compilation, only the thread that wins
+        the flight records the build; waiters record nothing, which is
+        exactly their cost.
+        """
+        token = _RECORDING.set(_RECORDING.get() + (self,))
+        try:
+            yield self
+        finally:
+            _RECORDING.reset(token)
 
     def record_path_count(self, rule_name: str, count: int) -> None:
         with self._lock:

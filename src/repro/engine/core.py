@@ -10,7 +10,9 @@ state the one-shot CLI used to rebuild per invocation:
 * one warm :class:`~repro.workers.SupervisedWorkerPool` (created on
   the first parallel request, reused by every later one);
 * one cumulative :class:`~repro.diagnostics.Diagnostics`, shared by
-  the generation context and the project analyzer.
+  the generation context, the project analyzer, the pool supervisor
+  and the serve daemon, so every counter covers the engine's lifetime
+  (the rule set's own record holds its compile counts).
 
 Every caller — the CLI, ``generate_many``, the ``serve`` daemon, the
 eval harness — goes through the same two dataclasses:
@@ -19,14 +21,15 @@ raise for recoverable pipeline errors; they return a
 :class:`GenerateResult`/:class:`AnalyzeResult` carrying either the
 artefact or a structured :class:`EngineError`, plus the request's
 :class:`~repro.trace.Trace` (span tree over codegen, sast and cache
-layers) and its compile-counter delta, so one request's cost is
+layers) and the DFA builds it caused, so one request's cost is
 attributable end to end. Unexpected exceptions still propagate.
 
 The engine is thread-safe: many threads (the serve daemon's shared
 worker pool) may issue ``generate``/``analyze`` concurrently. Request
-ids and counters move under an internal lock, per-request compile
-deltas are captured through context-local sinks
-(:func:`repro.crysl.compiled.track_compile_deltas`), rule compilation
+ids and counters move under an internal lock, each request records the
+compile counts its own thread causes into a private
+:class:`~repro.diagnostics.Diagnostics`
+(:meth:`~repro.diagnostics.Diagnostics.recording`), rule compilation
 is single-flight on the rule set, and repeated identical generate
 requests are answered from a bounded :class:`~repro.cache.LRUCache`
 keyed by :class:`ResultKey`, which a dirty ``refresh_rules`` clears
@@ -56,9 +59,13 @@ from ..cache.lru import LRUCache
 from ..cache.store import SCHEMA_VERSION
 from ..codegen.parallel import run_batch
 from ..crysl import CrySLError, RuleRepository, RuleSet, bundled_ruleset
-from ..crysl.compiled import track_compile_deltas
 from ..crysl.repository import RefreshReport
-from ..diagnostics import SUMMARY_INVALIDATIONS, Diagnostics, register_stage
+from ..diagnostics import (
+    DFA_BUILDS,
+    SUMMARY_INVALIDATIONS,
+    Diagnostics,
+    register_stage,
+)
 from ..sast.summary_cache import SummaryCache
 from ..trace import Trace, activate as activate_trace
 from ..workers import SupervisedWorkerPool, SupervisorConfig
@@ -582,7 +589,7 @@ class CryptoGenEngine:
         error: EngineError | None = None
         try:
             with activate_trace(trace), trace.span("request:generate"):
-                with track_compile_deltas() as delta:
+                with Diagnostics().recording() as delta:
                     try:
                         faults.maybe_raise(
                             "compile_error",
@@ -627,7 +634,7 @@ class CryptoGenEngine:
             elapsed_seconds=trace.total_seconds,
             trace=trace,
             error=error,
-            dfa_builds=delta.dfa_builds,
+            dfa_builds=delta.counter(DFA_BUILDS),
             module=module,
         )
 
@@ -659,7 +666,7 @@ class CryptoGenEngine:
         with self._batch_lock, activate_trace(trace), trace.span(
             "request:generate-batch"
         ):
-            with track_compile_deltas() as delta:
+            with Diagnostics().recording() as delta:
                 try:
                     modules: list[GeneratedModule | None] = list(
                         run_batch(
@@ -675,7 +682,7 @@ class CryptoGenEngine:
                         f.index: EngineError(f.error_type, str(f))
                         for f in exc.failures
                     }
-        dfa_builds = delta.dfa_builds
+        dfa_builds = delta.counter(DFA_BUILDS)
         results: list[GenerateResult] = []
         for index, module in enumerate(modules):
             self._count_request()
@@ -720,7 +727,7 @@ class CryptoGenEngine:
         error: EngineError | None = None
         try:
             with activate_trace(trace), trace.span("request:analyze"):
-                with track_compile_deltas() as delta:
+                with Diagnostics().recording() as delta:
                     try:
                         sources: dict[str, str] = {}
                         for path in expand_analyze_paths(request.paths):
@@ -753,7 +760,7 @@ class CryptoGenEngine:
             elapsed_seconds=trace.total_seconds,
             trace=trace,
             error=error,
-            dfa_builds=delta.dfa_builds,
+            dfa_builds=delta.counter(DFA_BUILDS),
             analysis=analysis,
             reanalyzed_functions=(
                 analysis.reanalyzed_functions if analysis is not None else 0

@@ -22,6 +22,9 @@ line, correlated by the client-chosen ``id``. Requests:
     liveness, the engine's cumulative diagnostics plus server metrics
     (per-op latency percentiles, in-flight gauge, worker utilization,
     result-cache counters), and an incremental rule-repository rescan.
+    Every count in ``stats`` and ``health`` — the ``server`` block's
+    timeouts, overloads, sheds and accept errors included — is read
+    from the engine's one :class:`~repro.diagnostics.Diagnostics`.
 ``{"op": "shutdown"}``
     drain and exit (the response is still sent).
 
@@ -95,9 +98,17 @@ from typing import IO, Callable, Iterator
 
 from .. import faults
 from ..diagnostics import (
+    COMPILED_HITS,
+    COMPILED_MISSES,
+    DFA_BUILDS,
+    DISK_HITS,
+    DISK_MISSES,
+    PATH_ENUMERATIONS,
     SERVER_ACCEPT_ERRORS,
     SERVER_OVERLOADS,
     SERVER_SHED,
+    SERVER_TIMEOUTS,
+    Diagnostics,
 )
 from .core import (
     SERVE_STAGE,
@@ -123,6 +134,26 @@ HEAVY_OPS = frozenset({"generate", "analyze", "refresh-rules"})
 
 #: Sleep after an ``EMFILE``/``ENFILE`` accept failure before retrying.
 ACCEPT_BACKOFF_SECONDS = 0.05
+
+#: The ``stats``/``health`` ``server`` block's counts, by their
+#: :class:`~repro.diagnostics.Diagnostics` key.
+SERVER_COUNTS = {
+    "timeouts": SERVER_TIMEOUTS,
+    "overloads": SERVER_OVERLOADS,
+    "shed": SERVER_SHED,
+    "accept_errors": SERVER_ACCEPT_ERRORS,
+}
+
+#: The ``stats`` op's ``compiled_rules`` block, by its key in the rule
+#: set's lifetime record.
+COMPILED_RULES_COUNTS = {
+    "hits": COMPILED_HITS,
+    "misses": COMPILED_MISSES,
+    "dfa_builds": DFA_BUILDS,
+    "path_enumerations": PATH_ENUMERATIONS,
+    "disk_hits": DISK_HITS,
+    "disk_misses": DISK_MISSES,
+}
 
 #: ``errno`` values meaning "out of file descriptors", not "bad socket".
 _FD_EXHAUSTED_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE})
@@ -165,6 +196,11 @@ def _error_response(
     return {"id": request_id, "ok": False, "error": error}
 
 
+def _counts(diagnostics: Diagnostics, keys: dict[str, str]) -> dict:
+    """``{field: count}`` for each ``field -> counter key`` in ``keys``."""
+    return {name: diagnostics.counter(key) for name, key in keys.items()}
+
+
 def _percentile(ordered: list[float], q: float) -> float:
     """Nearest-rank percentile over an already-sorted sample."""
     if not ordered:
@@ -174,13 +210,15 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 
 class ServerMetrics:
-    """Thread-safe serving counters: latencies, gauges, utilization.
+    """Thread-safe serving gauges: latencies, in-flight, utilization.
 
     The latency store keeps the last :data:`LATENCY_WINDOW` samples per
     op (a sliding window, so percentiles reflect recent behaviour on a
-    long-lived daemon, not its cold start). This lock is a *leaf* in
-    the server's lock hierarchy: nothing else is ever acquired while
-    holding it.
+    long-lived daemon, not its cold start). Event counts (timeouts,
+    overloads, sheds, accept errors) are not kept here: the server
+    counts them in the engine's diagnostics, and :meth:`to_dict` reads
+    them back from there. This lock is a *leaf* in the server's lock
+    hierarchy: nothing else is ever acquired while holding it.
     """
 
     def __init__(self, workers: int):
@@ -190,10 +228,6 @@ class ServerMetrics:
         self.in_flight = 0
         self.dispatched = 0
         self.completed = 0
-        self.timeouts = 0
-        self.overloads = 0
-        self.shed = 0
-        self.accept_errors = 0
         self.busy_seconds = 0.0
         self._latencies: dict[str, deque[float]] = {}
 
@@ -202,31 +236,19 @@ class ServerMetrics:
             self.dispatched += 1
             self.in_flight += 1
 
-    def finished(self, op: str, seconds: float) -> None:
+    def settled(self) -> None:
+        """One submitted request is gone: answered, or cancelled unrun."""
         with self._lock:
             self.in_flight -= 1
+
+    def finished(self, op: str, seconds: float) -> None:
+        with self._lock:
             self.completed += 1
             self.busy_seconds += seconds
             samples = self._latencies.get(op)
             if samples is None:
                 samples = self._latencies[op] = deque(maxlen=LATENCY_WINDOW)
             samples.append(seconds)
-
-    def timed_out(self, op: str) -> None:
-        with self._lock:
-            self.timeouts += 1
-
-    def overloaded(self, op: str) -> None:
-        with self._lock:
-            self.overloads += 1
-
-    def shed_request(self, op: str) -> None:
-        with self._lock:
-            self.shed += 1
-
-    def accept_error(self) -> None:
-        with self._lock:
-            self.accept_errors += 1
 
     def retry_hint_ms(self, op: str, pending: int) -> float:
         """Estimate how long an overloaded client should wait, in ms.
@@ -244,8 +266,10 @@ class ServerMetrics:
         waves = 1.0 + pending / max(workers, 1)
         return min(max(service_ms * waves, RETRY_HINT_MIN_MS), RETRY_HINT_MAX_MS)
 
-    def to_dict(self) -> dict:
-        """A JSON snapshot for the ``stats`` op and the CI artifact."""
+    def to_dict(self, diagnostics: Diagnostics) -> dict:
+        """A JSON snapshot for the ``stats`` op; counts come from
+        ``diagnostics`` (the engine's record)."""
+        counts = _counts(diagnostics, SERVER_COUNTS)
         with self._lock:
             elapsed = time.monotonic() - self._started
             capacity_seconds = self.workers * elapsed
@@ -263,10 +287,7 @@ class ServerMetrics:
                 "in_flight": self.in_flight,
                 "dispatched": self.dispatched,
                 "completed": self.completed,
-                "timeouts": self.timeouts,
-                "overloads": self.overloads,
-                "shed": self.shed,
-                "accept_errors": self.accept_errors,
+                **counts,
                 "busy_seconds": self.busy_seconds,
                 "utilization": (
                     self.busy_seconds / capacity_seconds
@@ -380,7 +401,10 @@ class EngineServer:
             return parse_error
         op = request["op"]
         self.metrics.submitted()
-        return self._execute(op, request, self._deadline_for(request))
+        try:
+            return self._execute(op, request, self._deadline_for(request))
+        finally:
+            self.metrics.settled()
 
     def _parse(self, line: str) -> tuple[dict | None, dict | None]:
         """Parse one line into ``(request, None)`` or ``(None, error)``.
@@ -463,7 +487,6 @@ class EngineServer:
     def _overloaded_response(self, request_id, op: str) -> dict:
         """The structured rejection for a request admission turned away."""
         retry_after_ms = self.metrics.retry_hint_ms(op, self._pending_depth())
-        self.metrics.overloaded(op)
         self.engine.diagnostics.count(SERVER_OVERLOADS)
         limit = self.max_pending
         return _error_response(
@@ -488,7 +511,6 @@ class EngineServer:
         started = time.monotonic()
         try:
             if deadline is not None and started > deadline:
-                self.metrics.shed_request(op)
                 self.engine.diagnostics.count(SERVER_SHED)
                 return _error_response(
                     request.get("id"),
@@ -595,7 +617,6 @@ class EngineServer:
         }
 
     def _op_stats(self, request: dict) -> dict:
-        stats = self.engine.ruleset.compile_stats
         health = self.engine.health(probe=False)
         return {
             "id": request.get("id"),
@@ -604,17 +625,12 @@ class EngineServer:
             "protocol": PROTOCOL_VERSION,
             "requests": self.engine.requests,
             "responses": self.responses,
-            "compiled_rules": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "dfa_builds": stats.dfa_builds,
-                "path_enumerations": stats.path_enumerations,
-                "disk_hits": stats.disk_hits,
-                "disk_misses": stats.disk_misses,
-            },
+            "compiled_rules": _counts(
+                self.engine.ruleset.diagnostics, COMPILED_RULES_COUNTS
+            ),
             "result_cache": self.engine.result_cache.to_dict(),
             "summary_cache": self.engine.summary_cache.to_dict(),
-            "server": self.metrics.to_dict(),
+            "server": self.metrics.to_dict(self.engine.diagnostics),
             "admission": {
                 "pending": self._pending_depth(),
                 "max_pending": self.max_pending,
@@ -651,12 +667,7 @@ class EngineServer:
                 "max_pending": self.max_pending,
                 "max_pending_per_conn": self.max_pending_per_conn,
             },
-            "server": {
-                "timeouts": self.metrics.timeouts,
-                "overloads": self.metrics.overloads,
-                "shed": self.metrics.shed,
-                "accept_errors": self.metrics.accept_errors,
-            },
+            "server": _counts(self.engine.diagnostics, SERVER_COUNTS),
         }
 
     def _op_refresh_rules(self, request: dict) -> dict:
@@ -810,9 +821,11 @@ class EngineServer:
                 deadline = self._deadline_for(request)
                 self.metrics.submitted()
                 future = pool.submit(self._execute, op, request, deadline)
+                # Done-callbacks fire on completion *and* on
+                # cancellation, so a request cancelled while still
+                # queued leaves the in-flight gauge too.
+                future.add_done_callback(lambda _f: self.metrics.settled())
                 if heavy:
-                    # Done-callbacks fire on completion *and* on
-                    # cancellation, so drained futures release too.
                     future.add_done_callback(
                         lambda _f, conn=conn: self._release(conn)
                     )
@@ -877,7 +890,7 @@ class EngineServer:
             # abandoned — the engine is thread-safe, so the server just
             # keeps serving. Only this request pays.
             pending.future.cancel()
-            self.metrics.timed_out(pending.op or "?")
+            self.engine.diagnostics.count(SERVER_TIMEOUTS)
             budget = pending.deadline - pending.submitted_at
             return _error_response(
                 pending.request_id,
@@ -936,7 +949,6 @@ class EngineServer:
                                 # not the listener's fault. Back off so
                                 # in-flight connections can close and
                                 # return fds, then keep accepting.
-                                self.metrics.accept_error()
                                 self.engine.diagnostics.count(
                                     SERVER_ACCEPT_ERRORS
                                 )

@@ -43,9 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import faults
 from .codegen.parallel import RECOVERABLE_ERRORS, TemplateFailure
 from .diagnostics import (
-    DISK_EVICTIONS,
-    DISK_HITS,
-    DISK_MISSES,
+    SUPERVISOR_BATCHES,
     SUPERVISOR_DEGRADED,
     SUPERVISOR_RECYCLES,
     SUPERVISOR_RESTARTS,
@@ -84,6 +82,7 @@ class TaskOutcome:
     index: int
     module: object
     failure: TemplateFailure | None
+    #: the worker's warm-start counters, on its first outcome only
     init_counters: dict | None = None
     #: the producing worker's peak RSS in MiB (0 for in-process runs)
     rss_mb: float = 0.0
@@ -164,7 +163,8 @@ def run_tasks_serial(
 # worker-side machinery (module-level so the pool can pickle references)
 # ---------------------------------------------------------------------------
 
-#: Per-worker state: the task runner plus the one-shot init counters.
+#: Per-worker state: the task runner plus the one-shot warm-start
+#: counters (everything the worker's rule set counted while it warmed).
 _WORKER: dict = {}
 
 
@@ -205,12 +205,7 @@ def _init_worker(
             ruleset.compiled(rule, max_paths=max_paths)
     context = GenerationContext(ruleset=ruleset, max_paths=max_paths)
     _WORKER["runner"] = TaskRunner(CrySLBasedCodeGenerator(context=context))
-    stats = ruleset.compile_stats.snapshot()
-    _WORKER["init_counters"] = {
-        DISK_HITS: stats.disk_hits,
-        DISK_MISSES: stats.disk_misses,
-        DISK_EVICTIONS: stats.disk_evictions,
-    }
+    _WORKER["init_counters"] = dict(ruleset.diagnostics.counters)
 
 
 def _worker_rss_mb() -> float:
@@ -465,6 +460,11 @@ class SupervisedWorkerPool:
     Thread-safe: the engine's batch lock already serializes batches,
     but state transitions are locked anyway so ``health`` snapshots
     from serve worker threads never read torn state.
+
+    Batches, restarts, retries, recycles and degraded batches are
+    counted as ``supervisor.*`` keys in :attr:`diagnostics` — the
+    owner's record when one is passed, so the counts outlive any one
+    supervisor (an engine rebuilds its pool on a rule refresh).
     """
 
     def __init__(
@@ -478,7 +478,9 @@ class SupervisedWorkerPool:
         self._runner = TaskRunner(generator)
         self.jobs = jobs
         self.config = config or SupervisorConfig()
-        self.diagnostics = diagnostics
+        self.diagnostics = (
+            diagnostics if diagnostics is not None else Diagnostics()
+        )
         self._lock = threading.Lock()
         self._pool: WorkerPool | None = None
         self._rng = random.Random()
@@ -488,12 +490,6 @@ class SupervisedWorkerPool:
         self._max_rss_mb = 0.0
         self._degraded = False
         self._started = False
-        # lifetime counters (survive pool rebuilds)
-        self.restarts = 0
-        self.retries = 0
-        self.recycles = 0
-        self.degraded_batches = 0
-        self.batches = 0
 
     # ------------------------------------------------------------------
     # state
@@ -516,16 +512,17 @@ class SupervisedWorkerPool:
 
     def to_dict(self) -> dict:
         """A JSON snapshot for ``health``/``stats``."""
+        counter = self.diagnostics.counter
         with self._lock:
             return {
                 "state": self._state(),
                 "degraded": self._degraded,
                 "jobs": self.jobs,
-                "batches": self.batches,
-                "restarts": self.restarts,
-                "retries": self.retries,
-                "recycles": self.recycles,
-                "degraded_batches": self.degraded_batches,
+                "batches": counter(SUPERVISOR_BATCHES),
+                "restarts": counter(SUPERVISOR_RESTARTS),
+                "retries": counter(SUPERVISOR_RETRIES),
+                "recycles": counter(SUPERVISOR_RECYCLES),
+                "degraded_batches": counter(SUPERVISOR_DEGRADED),
                 "tasks_since_spawn": self._tasks_since_spawn,
                 "max_worker_rss_mb": round(self._max_rss_mb, 1),
                 "max_restarts": self.config.max_restarts,
@@ -533,10 +530,6 @@ class SupervisedWorkerPool:
                 "worker_memory_mb": self.config.worker_memory_mb,
                 "stall_timeout_seconds": self.config.stall_timeout_seconds,
             }
-
-    def _count(self, key: str) -> None:
-        if self.diagnostics is not None:
-            self.diagnostics.count(key)
 
     # ------------------------------------------------------------------
     # pool lifecycle
@@ -620,8 +613,7 @@ class SupervisedWorkerPool:
         serially in-process and the supervisor is marked degraded. A
         later successful pool batch clears the flag.
         """
-        with self._lock:
-            self.batches += 1
+        self.diagnostics.count(SUPERVISOR_BATCHES)
         attempt = 0
         while True:
             if self._recycle_due():
@@ -634,9 +626,7 @@ class SupervisedWorkerPool:
                 # A stalled pool still has live (wedged) workers, so it
                 # must be killed; a broken one can be closed normally.
                 self._discard_pool(force=isinstance(exc, PoolStalledError))
-                with self._lock:
-                    self.restarts += 1
-                self._count(SUPERVISOR_RESTARTS)
+                self.diagnostics.count(SUPERVISOR_RESTARTS)
                 trace_event(
                     "supervisor:restart", attempt=attempt, batch=len(tasks)
                 )
@@ -644,9 +634,7 @@ class SupervisedWorkerPool:
                     return self._run_degraded(tasks)
                 time.sleep(self._backoff(attempt))
                 attempt += 1
-                with self._lock:
-                    self.retries += 1
-                self._count(SUPERVISOR_RETRIES)
+                self.diagnostics.count(SUPERVISOR_RETRIES)
                 continue
             self._note_batch(outcomes)
             return outcomes
@@ -654,8 +642,7 @@ class SupervisedWorkerPool:
     def _run_degraded(self, tasks: "Sequence[tuple]") -> list[TaskOutcome]:
         with self._lock:
             self._degraded = True
-            self.degraded_batches += 1
-        self._count(SUPERVISOR_DEGRADED)
+        self.diagnostics.count(SUPERVISOR_DEGRADED)
         trace_event("supervisor:degraded", batch=len(tasks))
         return run_tasks_serial(self._runner, tasks)
 
@@ -687,13 +674,11 @@ class SupervisedWorkerPool:
     def _recycle(self) -> None:
         """Planned pool rebuild at a batch boundary (not a failure)."""
         self._discard_pool()
-        with self._lock:
-            self.recycles += 1
-        self._count(SUPERVISOR_RECYCLES)
+        self.diagnostics.count(SUPERVISOR_RECYCLES)
         trace_event("supervisor:recycle")
 
     def __repr__(self) -> str:
         return (
             f"<SupervisedWorkerPool jobs={self.jobs} state={self.state} "
-            f"restarts={self.restarts}>"
+            f"restarts={self.diagnostics.counter(SUPERVISOR_RESTARTS)}>"
         )

@@ -17,6 +17,13 @@ from repro.cache import (
 )
 from repro.crysl import RuleSet, parse_rule
 from repro.crysl.ruleset import check_rule
+from repro.diagnostics import (
+    DFA_BUILDS,
+    DISK_HITS,
+    DISK_MISSES,
+    DISK_WRITES,
+    PATH_ENUMERATIONS,
+)
 from repro.sast import ProjectAnalyzer
 
 RULE_SOURCE = (
@@ -226,11 +233,11 @@ class TestRuleSetIntegration:
             compiled = warm.compiled(rule)
             compiled.kernel
             assert compiled.paths == ((rule.events[0], rule.events[1]),)
-        stats = warm.compile_stats
-        assert stats.dfa_builds == 0
-        assert stats.path_enumerations == 0
-        assert stats.disk_hits == 1
-        assert stats.disk_misses == 0
+        stats = warm.diagnostics
+        assert stats.counter(DFA_BUILDS) == 0
+        assert stats.counter(PATH_ENUMERATIONS) == 0
+        assert stats.counter(DISK_HITS) == 1
+        assert stats.counter(DISK_MISSES) == 0
 
     def test_warm_project_analysis_rebuilds_no_dfa(
         self, tmp_path, use_case_project
@@ -244,12 +251,12 @@ class TestRuleSetIntegration:
         ruleset.attach_disk_cache(DiskRuleCache(tmp_path / "cache"))
         result = ProjectAnalyzer(ruleset).analyze_sources(use_case_project)
         assert result.is_secure, result.render()
-        stats = ruleset.compile_stats
-        assert stats.dfa_builds == 0, (
-            f"warm analysis rebuilt {stats.dfa_builds} DFAs"
+        stats = ruleset.diagnostics
+        assert stats.counter(DFA_BUILDS) == 0, (
+            f"warm analysis rebuilt {stats.counter(DFA_BUILDS)} DFAs"
         )
-        assert stats.path_enumerations == 0
-        assert stats.disk_hits > 0
+        assert stats.counter(PATH_ENUMERATIONS) == 0
+        assert stats.counter(DISK_HITS) > 0
 
     def test_source_edit_recomputes(self, tmp_path):
         _prime(_ruleset(tmp_path))
@@ -257,16 +264,16 @@ class TestRuleSetIntegration:
         ruleset = _ruleset(tmp_path, source=edited)
         for rule in ruleset:
             ruleset.compiled(rule).paths
-        stats = ruleset.compile_stats
-        assert stats.disk_hits == 0
-        assert stats.disk_misses == 1
-        assert stats.dfa_builds == 1
+        stats = ruleset.diagnostics
+        assert stats.counter(DISK_HITS) == 0
+        assert stats.counter(DISK_MISSES) == 1
+        assert stats.counter(DFA_BUILDS) == 1
 
     def test_flush_is_idempotent(self, tmp_path):
         ruleset = _ruleset(tmp_path)
         assert _prime(ruleset) == 1
         assert ruleset.flush_disk_cache() == 0
-        assert ruleset.compile_stats.disk_writes == 1
+        assert ruleset.diagnostics.counter(DISK_WRITES) == 1
 
     def test_preloaded_artefacts_keep_rule_node_identity(self, tmp_path):
         """Rehydrated paths reference the live rule's own Event nodes —
@@ -290,7 +297,7 @@ class TestRuleSetIntegration:
         warm = _ruleset(tmp_path)
         (warm_rule,) = list(warm)
         kernel = warm.compiled(warm_rule).kernel
-        assert warm.compile_stats.dfa_builds == 0
+        assert warm.diagnostics.counter(DFA_BUILDS) == 0
         assert kernel == cold_kernel
         walker = kernel.walk()
         assert walker.feed("g") and walker.feed("d")

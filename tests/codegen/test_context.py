@@ -31,11 +31,11 @@ def test_compiled_artifacts_are_cached(cold_context):
     assert first.kernel is kernel
     paths = first.paths
     assert first.paths is paths
-    stats = cold_context.ruleset.compile_stats
-    assert stats.misses == 1
-    assert stats.hits >= 1
-    assert stats.dfa_builds == 1
-    assert stats.path_enumerations == 1
+    stats = cold_context.ruleset.diagnostics
+    assert stats.counter(COMPILED_MISSES) == 1
+    assert stats.counter(COMPILED_HITS) >= 1
+    assert stats.counter(DFA_BUILDS) == 1
+    assert stats.counter(PATH_ENUMERATIONS) == 1
 
 
 def test_run_records_cache_deltas(cold_context):

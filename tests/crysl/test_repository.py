@@ -10,6 +10,12 @@ import pytest
 
 from repro.cache import DiskRuleCache
 from repro.crysl import CrySLError, RuleRepository
+from repro.diagnostics import (
+    COMPILED_HITS,
+    COMPILED_MISSES,
+    DFA_BUILDS,
+    DISK_HITS,
+)
 
 RULES_DIR = Path("src/repro/rules")
 
@@ -67,10 +73,10 @@ class TestRefresh:
 
         successor = repo.ruleset
         _compile_all(successor)
-        stats = successor.compile_stats
+        stats = successor.diagnostics
         # Exactly the edited rule went cold; every carried entry hit.
-        assert stats.misses == 1
-        assert stats.hits == len(successor) - 1
+        assert stats.counter(COMPILED_MISSES) == 1
+        assert stats.counter(COMPILED_HITS) == len(successor) - 1
 
     def test_dependents_relink_on_edit(self, rules_copy):
         repo = RuleRepository(rules_copy)
@@ -135,9 +141,9 @@ class TestDiskCache:
         _compile_all(second.ruleset)
         for rule in second.ruleset:
             second.ruleset.compiled(rule).paths
-        stats = second.ruleset.compile_stats
-        assert stats.disk_hits == len(second.ruleset)
-        assert stats.dfa_builds == 0
+        stats = second.ruleset.diagnostics
+        assert stats.counter(DISK_HITS) == len(second.ruleset)
+        assert stats.counter(DFA_BUILDS) == 0
 
     def test_cache_travels_across_refreshes(self, rules_copy, tmp_path):
         cache = DiskRuleCache(tmp_path / "cache")

@@ -12,6 +12,7 @@ from repro.crysl import (
     parse_rule,
 )
 from repro.crysl.errors import RuleNotFoundError
+from repro.diagnostics import COMPILED_HITS, COMPILED_MISSES, DFA_BUILDS
 
 EXPECTED_BUNDLED = {
     "repro.jca.Cipher",
@@ -155,18 +156,18 @@ def test_compiled_cache_hit_and_invalidation():
     entry = rules.compiled(rule)
     assert rules.compiled(rule) is entry
     assert rules.compiled("Thing") is entry  # name lookup hits too
-    assert rules.compile_stats.hits == 2
-    assert rules.compile_stats.misses == 1
+    assert rules.diagnostics.counter(COMPILED_HITS) == 2
+    assert rules.diagnostics.counter(COMPILED_MISSES) == 1
     # Replacing the rule invalidates its entry.
     rules.add(parse_rule("SPEC a.Thing\nEVENTS\n f: n();"))
     fresh = rules.compiled(rules.get("Thing"))
     assert fresh is not entry
-    assert rules.compile_stats.misses == 2
+    assert rules.diagnostics.counter(COMPILED_MISSES) == 2
 
 
 def test_copy_has_cold_cache():
     rules = RuleSet([parse_rule("SPEC a.Thing\nEVENTS\n e: m();")])
     rules.compiled("Thing").kernel
     clone = rules.copy()
-    assert clone.compile_stats.misses == 0
-    assert clone.compile_stats.dfa_builds == 0
+    assert clone.diagnostics.counter(COMPILED_MISSES) == 0
+    assert clone.diagnostics.counter(DFA_BUILDS) == 0

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.crysl import RuleSet
+from repro.diagnostics import DFA_BUILDS
 from repro.engine import AnalyzeRequest, CryptoGenEngine, GenerateRequest
 from repro.usecases import use_case
 
@@ -58,9 +59,10 @@ class TestSingleFlight:
         assert all(r.ok for r in results)
         # Single-flight proof: 16 simultaneous cold requests build each
         # DFA exactly once — the global counter matches the serial run.
-        assert engine.ruleset.compile_stats.dfa_builds == baseline.dfa_builds
-        # Per-request attribution agrees: the winning threads' delta
-        # sinks account for every build, the waiters record zero.
+        builds = engine.ruleset.diagnostics.counter(DFA_BUILDS)
+        assert builds == baseline.dfa_builds
+        # Per-request attribution agrees: the winning threads' request
+        # records account for every build, the waiters record zero.
         assert sum(r.dfa_builds for r in results) == baseline.dfa_builds
         assert engine.requests == THREADS
         engine.close()
@@ -69,7 +71,7 @@ class TestSingleFlight:
         engine = CryptoGenEngine(ruleset=RuleSet.bundled())
         first = engine.generate(GenerateRequest(template=TEMPLATE))
         assert first.ok
-        builds_before = engine.ruleset.compile_stats.dfa_builds
+        builds_before = engine.ruleset.diagnostics.counter(DFA_BUILDS)
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             results = list(
                 pool.map(
@@ -80,7 +82,7 @@ class TestSingleFlight:
                 )
             )
         assert all(r.ok and r.cached and r.dfa_builds == 0 for r in results)
-        assert engine.ruleset.compile_stats.dfa_builds == builds_before
+        assert engine.ruleset.diagnostics.counter(DFA_BUILDS) == builds_before
         assert engine.result_cache.hits >= THREADS
         engine.close()
 

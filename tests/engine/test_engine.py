@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.diagnostics import SUMMARY_INVALIDATIONS
+from repro.diagnostics import DFA_BUILDS, SUMMARY_INVALIDATIONS
 from repro.engine import (
     AnalyzeRequest,
     CryptoGenEngine,
@@ -56,7 +56,7 @@ class TestGenerate:
         after_first = results[0].dfa_builds
         assert after_first > 0  # the one cold compile
         assert all(r.dfa_builds == 0 for r in results[1:])
-        assert engine.ruleset.compile_stats.dfa_builds == after_first
+        assert engine.ruleset.diagnostics.counter(DFA_BUILDS) == after_first
         assert engine.requests == 100
         engine.close()
 

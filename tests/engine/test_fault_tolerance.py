@@ -28,6 +28,14 @@ import pytest
 
 from repro import faults, workers
 from repro.crysl import RuleSet
+from repro.diagnostics import (
+    SUPERVISOR_BATCHES,
+    SUPERVISOR_DEGRADED,
+    SUPERVISOR_RECYCLES,
+    SUPERVISOR_RESTARTS,
+    SUPERVISOR_RETRIES,
+    Diagnostics,
+)
 from repro.engine import (
     BreakerConfig,
     BreakerRegistry,
@@ -38,6 +46,7 @@ from repro.engine import (
     SupervisedWorkerPool,
     SupervisorConfig,
 )
+from repro.engine.server import SERVER_COUNTS
 from repro.usecases import use_case
 from repro.workers import PoolStalledError, TaskOutcome
 
@@ -196,7 +205,8 @@ class TestSupervisedWorkerPool:
         )
         outcomes = pool.run_tasks(SPECS)
         assert [o.module for o in outcomes] == ["module-0", "module-1"]
-        assert pool.restarts == 1 and pool.retries == 1
+        counts = pool.to_dict()
+        assert counts["restarts"] == 1 and counts["retries"] == 1
         assert calls["built"] == 2  # dead pool discarded, fresh one built
         assert not pool.degraded
         assert pool.state == "running"
@@ -213,7 +223,7 @@ class TestSupervisedWorkerPool:
         assert all(o.in_process for o in outcomes)
         assert [o.module for o in outcomes] == ["gen:a.py", "gen:b.py"]
         assert pool.degraded and pool.state == "degraded"
-        assert pool.degraded_batches == 1
+        assert pool.to_dict()["degraded_batches"] == 1
         assert pool.to_dict()["degraded"] is True
 
     def test_successful_batch_clears_degraded(self, monkeypatch):
@@ -249,7 +259,7 @@ class TestSupervisedWorkerPool:
         )
         pool.run_tasks(SPECS)  # 2 tasks through a 1-worker pool
         pool.run_tasks(SPECS)  # budget exceeded -> planned rebuild first
-        assert pool.recycles == 1
+        assert pool.to_dict()["recycles"] == 1
         assert calls["built"] == 2
 
     def test_recycles_on_memory_ceiling(self, monkeypatch):
@@ -261,8 +271,45 @@ class TestSupervisedWorkerPool:
         )
         pool.run_tasks(SPECS)
         pool.run_tasks(SPECS)
-        assert pool.recycles == 1
+        assert pool.to_dict()["recycles"] == 1
         assert calls["built"] == 2
+
+    def test_counts_live_in_the_owners_diagnostics(self, monkeypatch):
+        # Crash, crash (budget exhausted: degraded), then a recycle and
+        # a clean batch.
+        _install_fake_pool(monkeypatch, ["crash", "crash", "ok"])
+        owner = Diagnostics()
+        config = SupervisorConfig(
+            max_restarts=1, max_tasks_per_worker=1, **FAST_BACKOFF
+        )
+        pool = SupervisedWorkerPool(
+            _FakeGenerator(), 1, config=config, diagnostics=owner
+        )
+        pool.run_tasks(SPECS)
+        pool.run_tasks(SPECS)
+        pool.run_tasks(SPECS)
+        snapshot = pool.to_dict()
+        fields = {
+            "batches": SUPERVISOR_BATCHES,
+            "restarts": SUPERVISOR_RESTARTS,
+            "retries": SUPERVISOR_RETRIES,
+            "recycles": SUPERVISOR_RECYCLES,
+            "degraded_batches": SUPERVISOR_DEGRADED,
+        }
+        assert {name: snapshot[name] for name in fields} == {
+            "batches": 3,
+            "restarts": 2,
+            "retries": 1,
+            "recycles": 1,
+            "degraded_batches": 1,
+        }
+        for name, key in fields.items():
+            assert snapshot[name] == owner.counter(key)
+        # A rebuilt supervisor over the same owner carries the counts on.
+        rebuilt = SupervisedWorkerPool(
+            _FakeGenerator(), 1, config=config, diagnostics=owner
+        )
+        assert rebuilt.to_dict()["restarts"] == 2
 
     def test_backoff_is_bounded(self):
         pool = SupervisedWorkerPool(
@@ -287,7 +334,7 @@ class TestSupervisedWorkerPool:
         )
         outcomes = pool.run_tasks(SPECS)
         assert [o.module for o in outcomes] == ["module-0", "module-1"]
-        assert pool.restarts == 1
+        assert pool.to_dict()["restarts"] == 1
         assert calls["killed"] == 1 and calls["closed"] == 0
         assert not pool.degraded
 
@@ -669,7 +716,34 @@ class TestAdmissionControl:
         assert ping["ok"] and ping["op"] == "ping"
         # Ordered responses survived the rejections.
         assert [r["seq"] for r in responses] == [1, 2, 3, 4, 5]
-        assert server.metrics.to_dict()["overloads"] == 2
+        stats = server.metrics.to_dict(server.engine.diagnostics)
+        assert stats["overloads"] == 2
+
+    def test_server_counts_have_one_source(self, monkeypatch):
+        server = self._slow_server(monkeypatch, workers=4, max_pending=2)
+        _run(
+            server,
+            [
+                {"id": n, "op": "generate", "template": TEMPLATE}
+                for n in range(1, 5)
+            ],
+        )
+        server._execute(
+            "ping", {"id": 5, "op": "ping"}, deadline=time.monotonic() - 1.0
+        )
+        stats = server.handle_line(json.dumps({"op": "stats"}))
+        health = server.handle_line(
+            json.dumps({"op": "health", "probe": False})
+        )
+        counters = stats["diagnostics"]["counters"]
+        for name, key in SERVER_COUNTS.items():
+            assert (
+                stats["server"][name]
+                == health["server"][name]
+                == counters.get(key, 0)
+            ), name
+        assert stats["server"]["overloads"] == 2
+        assert stats["server"]["shed"] == 1
 
     def test_per_connection_bound(self, monkeypatch):
         server = self._slow_server(
@@ -786,7 +860,8 @@ class TestAdmissionControl:
             assert response["ok"] is False
             assert response["error"]["type"] == "TimeoutError"
             assert "shed" in response["error"]["message"]
-            assert server.metrics.to_dict()["shed"] == 1
+            stats = server.metrics.to_dict(server.engine.diagnostics)
+            assert stats["shed"] == 1
         finally:
             server.engine.close()
 

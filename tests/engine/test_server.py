@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.engine import CryptoGenEngine, EngineServer, PROTOCOL_VERSION
 from repro.usecases import use_case
 
@@ -280,7 +281,8 @@ class TestTimeout:
         assert ping["ok"] and ping["id"] == 2 and ping["op"] == "ping"
         # Responses come back in request order (per-connection seqs).
         assert [r["seq"] for r in responses] == [1, 2]
-        assert server.metrics.to_dict()["timeouts"] == 1
+        stats = server.metrics.to_dict(server.engine.diagnostics)
+        assert stats["timeouts"] == 1
 
     def test_fast_requests_beat_the_deadline(self, monkeypatch):
         server = EngineServer(CryptoGenEngine(), timeout=30.0, workers=2)
@@ -289,7 +291,38 @@ class TestTimeout:
             [{"id": 1, "op": "ping"}, {"id": 2, "op": "ping"}],
         )
         assert [r["ok"] for r in responses] == [True, True]
-        assert server.metrics.to_dict()["timeouts"] == 0
+        stats = server.metrics.to_dict(server.engine.diagnostics)
+        assert stats["timeouts"] == 0
+
+    def test_requests_cancelled_while_queued_leave_the_in_flight_gauge(
+        self,
+    ):
+        # One worker and every task stalled: the first ping overruns
+        # its 10 ms budget while running, and the two behind it are
+        # cancelled while still queued, so they never run at all.
+        faults.configure("slow_task:1.0")
+        server = EngineServer(CryptoGenEngine(), workers=1)
+        try:
+            responses = _run(
+                server,
+                [
+                    {"id": n, "op": "ping", "deadline_ms": 10}
+                    for n in (1, 2, 3)
+                ],
+            )
+            assert [r["error"]["type"] for r in responses] == [
+                "TimeoutError"
+            ] * 3
+            # The abandoned first ping finishes in the background.
+            deadline = time.monotonic() + 5.0
+            while server.metrics.in_flight and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stats = server.metrics.to_dict(server.engine.diagnostics)
+            assert stats["dispatched"] == 3
+            assert stats["in_flight"] == 0
+        finally:
+            faults.reset()
+            server.engine.close()
 
 
 class TestRefreshRules:
@@ -400,7 +433,8 @@ class TestAcceptLoopResilience:
         thread.join(10.0)
 
         assert ping["ok"] and ping["op"] == "ping"
-        assert server.metrics.to_dict()["accept_errors"] == 1
+        stats = server.metrics.to_dict(server.engine.diagnostics)
+        assert stats["accept_errors"] == 1
 
 
 class TestSocketTransport:

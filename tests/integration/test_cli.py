@@ -194,6 +194,23 @@ def test_generate_jobs_parallel(tmp_path, capsys):
     assert (tmp_path / "string_hashing_generated.py").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_generate_counts_every_compile_at_any_jobs(tmp_path, capsys, jobs):
+    """Every DFA build follows a compiled-rule miss, serial or not: the
+    rules a pool worker compiles while it warms up are counted too."""
+    import json
+
+    templates = [str(use_case(n).template_path()) for n in (1, 11, 4)]
+    args = [
+        "generate", *templates, "-o", str(tmp_path / "out"),
+        "--jobs", jobs, "--cache-dir", str(tmp_path / "cache"), "--json",
+    ]
+    assert main(args) == 0
+    counters = json.loads(capsys.readouterr().out)["diagnostics"]["counters"]
+    assert counters["dfa.builds"] > 0
+    assert counters["compiled_rules.misses"] >= counters["dfa.builds"]
+
+
 def test_generate_jobs_keeps_going_after_bad_template(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("class Empty:\n    pass\n")
@@ -499,6 +516,26 @@ def test_analyze_stats_report_reanalyzed_delta(tmp_path, capsys):
     warm = capsys.readouterr().err
     assert "reanalyzed 0 of 1 function(s)" in warm
     assert "1 from summary cache" in warm
+
+
+def test_analyze_cache_dir_persists_compiled_rules(tmp_path, capsys):
+    """The rules an analysis compiles are written to --cache-dir when
+    the run ends, so a second run builds no DFA."""
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "from repro.jca import MessageDigest\n"
+        "def f():\n"
+        "    md = MessageDigest.get_instance('SHA-256')\n"
+        "    digest = md.digest(b'x')\n"
+    )
+    cache = tmp_path / "cache"
+    args = ["analyze", str(clean), "--cache-dir", str(cache), "--stats"]
+    assert main(args) == 0
+    assert " 0 DFA builds" not in capsys.readouterr().err
+    assert list(cache.glob("*.artefacts.pkl")), "no rules were persisted"
+
+    assert main(args) == 0
+    assert "from summary cache, 0 DFA builds" in capsys.readouterr().err
 
 
 def test_analyze_no_cache_disables_persistence(tmp_path, capsys):
