@@ -20,14 +20,16 @@ The paper describes a sequence of filters and heuristics:
 This module realises those rules as a small exhaustive search over the
 per-instance path candidates with a lexicographic score
 ``(pushed-up, unsatisfied-requires, dropped-instances, calls, params)``
-— the paper's greedy filters fall out as the dominant terms, and the
-ablation benchmarks toggle individual terms.
+— the paper's greedy filters fall out as the dominant terms, and
+``tests/codegen/test_selector.py::TestAblations`` switches individual
+design choices off. The score is a sum of per-instance terms, each
+solved once per :func:`select` call (:class:`_Resolver`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..constraints import (
     Binding,
@@ -40,6 +42,7 @@ from ..constraints import (
 )
 from ..constraints.types import TypeRegistry, default_registry
 from ..crysl import ast
+from ..crysl.compiled import CompiledRule
 from ..diagnostics import (
     COMBOS_EVALUATED,
     PATHS_CANDIDATES,
@@ -186,46 +189,32 @@ def _producer_side_available(
     return False
 
 
-def _activatable_links(
-    links: list[Link],
-    instances: list[RuleInstance],
-    paths: dict[int, tuple[ast.Event, ...]],
-    context: GenerationContext | None = None,
-) -> list[Link]:
-    """Links whose producer path grants the predicate and whose consumer
-    path actually uses the linked object. One link per consumer slot;
-    the nearest producer wins (freshest value)."""
-    chosen: dict[tuple[int, str], Link] = {}
-    for link in links:
-        producer_path = paths[link.producer]
-        consumer_path = paths[link.consumer]
-        producer_rule = instances[link.producer].rule
-        producer_labels = tuple(e.label for e in producer_path)
-        if context is not None:
-            granted = context.compiled(producer_rule).granted_predicates(
-                producer_labels
-            )
-        else:
-            granted = granted_predicates(producer_rule, producer_labels)
-        if link.ensures not in granted:
-            continue
-        if not _producer_side_available(link, producer_path, instances[link.producer]):
-            continue
-        if link.consumer_object == "this":
-            consumer = instances[link.consumer]
-            consumer_creates = any(
-                event.is_constructor or event.result == "this"
-                for event in consumer_path
-            )
-            if consumer_creates or "this" in consumer.bindings:
-                continue  # receiver already comes from elsewhere
-        elif not _path_uses_object(consumer_path, link.consumer_object):
-            continue
-        slot = (link.consumer, link.consumer_object)
-        current = chosen.get(slot)
-        if current is None or link.producer > current.producer:
-            chosen[slot] = link
-    return list(chosen.values())
+def _link_activatable(
+    link: Link,
+    producer: RuleInstance,
+    producer_path: tuple[ast.Event, ...],
+    consumer: RuleInstance,
+    consumer_path: tuple[ast.Event, ...],
+    producer_compiled: CompiledRule | None,
+) -> bool:
+    """Does the producer path grant the predicate and the consumer path
+    actually use the linked object?"""
+    producer_labels = tuple(e.label for e in producer_path)
+    if producer_compiled is not None:
+        granted = producer_compiled.granted_predicates(producer_labels)
+    else:
+        granted = granted_predicates(producer.rule, producer_labels)
+    if link.ensures not in granted:
+        return False
+    if not _producer_side_available(link, producer_path, producer):
+        return False
+    if link.consumer_object == "this":
+        consumer_creates = any(
+            event.is_constructor or event.result == "this" for event in consumer_path
+        )
+        # The receiver must not already come from elsewhere.
+        return not consumer_creates and "this" not in consumer.bindings
+    return _path_uses_object(consumer_path, link.consumer_object)
 
 
 # ---------------------------------------------------------------------------
@@ -288,118 +277,193 @@ def _build_environment(
     return env
 
 
-@dataclass
-class _ComboResult:
-    plans: list[InstancePlan]
-    active_links: list[Link]
-    score: tuple[int, int, int, int, int]
-    dropped: tuple[int, ...]
-
-
-def _evaluate_combo(
+def _evaluate_instance(
+    instance: RuleInstance,
+    path: tuple[ast.Event, ...],
+    incoming: list[Link],
     instances: list[RuleInstance],
-    combo: tuple[tuple[ast.Event, ...], ...],
-    links: list[Link],
     registry: TypeRegistry,
-    context: GenerationContext | None = None,
-) -> _ComboResult | None:
-    paths = {instance.index: path for instance, path in zip(instances, combo)}
-    active = _activatable_links(links, instances, paths, context)
-    pushed_total = 0
-    unsatisfied = 0
-    plans: list[InstancePlan] = []
-    for instance, path in zip(instances, combo):
-        incoming = [link for link in active if link.consumer == instance.index]
-        env = _build_environment(instance, path, incoming, instances)
-        labels = tuple(event.label for event in path)
-        # Resolve remaining parameters from CONSTRAINTS.
-        unknown = []
-        for event in path:
-            for param in event.params:
-                if param.is_wildcard or param.is_this:
-                    continue
-                if param.name not in env:
-                    unknown.append(param.name)
-        pushed: list[str] = []
-        compiled = context.compiled(instance.rule) if context is not None else None
-        deriver = ValueDeriver(instance.rule, env, labels, registry, compiled=compiled)
-        for name in dict.fromkeys(unknown):  # stable dedupe
-            try:
-                value = deriver.derive(name)
-            except (UnderconstrainedError, UnsatisfiableError):
-                env.bind(
-                    Binding(
-                        name,
-                        BindingSource.PUSHED_UP,
-                        type_name=_declared_type(instance.rule, name),
-                    )
+    compiled: CompiledRule | None,
+) -> tuple[InstancePlan, int, int] | None:
+    """One instance's term of the score: its plan, its pushed-up count
+    and its unsatisfied-REQUIRES count, given its path and the active
+    links that feed it. ``None`` when the path violates the rule's
+    CONSTRAINTS."""
+    env = _build_environment(instance, path, incoming, instances)
+    labels = tuple(event.label for event in path)
+    # Resolve remaining parameters from CONSTRAINTS.
+    unknown = []
+    for event in path:
+        for param in event.params:
+            if param.is_wildcard or param.is_this:
+                continue
+            if param.name not in env:
+                unknown.append(param.name)
+    pushed: list[str] = []
+    deriver = ValueDeriver(instance.rule, env, labels, registry, compiled=compiled)
+    for name in dict.fromkeys(unknown):  # stable dedupe
+        try:
+            value = deriver.derive(name)
+        except (UnderconstrainedError, UnsatisfiableError):
+            env.bind(
+                Binding(
+                    name,
+                    BindingSource.PUSHED_UP,
+                    type_name=_declared_type(instance.rule, name),
                 )
-                pushed.append(name)
+            )
+            pushed.append(name)
+            continue
+        env.bind(Binding(name, BindingSource.DERIVED, value=value))
+    # Receiver resolution.
+    creates = any(event.is_constructor or event.result == "this" for event in path)
+    receiver_pushed = (
+        not creates
+        and "this" not in instance.bindings
+        and not any(link.consumer_object == "this" for link in incoming)
+    )
+    # Hard check: the rule's constraints must not be violated.
+    evaluator = ConstraintEvaluator(env, instance.rule, labels, registry)
+    if evaluator.evaluate_all(instance.rule.constraints) is False:
+        return None
+    # Soft check: requires groups without a link or template waiver.
+    unsatisfied = 0
+    for group in instance.rule.requires:
+        group_objects = {
+            alt.args[0].value
+            for alt in group.alternatives
+            if alt.args and isinstance(alt.args[0].value, str)
+        }
+        used = [
+            name
+            for name in group_objects
+            if name != "this" and _path_uses_object(path, name)
+        ]
+        if not used:
+            continue
+        linked = any(link.consumer_object in group_objects for link in incoming)
+        waived = any(
+            (binding := env.get(name)) is not None
+            and binding.source is BindingSource.TEMPLATE
+            for name in used
+        )
+        if not linked and not waived:
+            unsatisfied += 1
+    deferred = (
+        compiled.invalidating_events(labels)
+        if compiled is not None
+        else invalidating_events(instance.rule, labels)
+    )
+    plan = InstancePlan(
+        instance=instance,
+        path=path,
+        env=env,
+        pushed_up=tuple(pushed),
+        deferred=deferred,
+        receiver_pushed=receiver_pushed,
+    )
+    return plan, len(pushed) + (1 if receiver_pushed else 0), unsatisfied
+
+
+class _Resolver:
+    """Scores path combinations for one :func:`select` call.
+
+    A combination is a tuple of candidate positions, one per instance.
+    Its score is a sum of per-instance terms, and both of its inputs are
+    memoised for the life of this object:
+
+    * each instance's term under ``(instance index, candidate position,
+      incoming active links)``. In CrySL an instance's CONSTRAINTS and
+      REQUIRES refer only to its own objects, so its path and the links
+      that feed it are its whole input;
+    * each link's activation under ``(link position, producer candidate,
+      consumer candidate)``, since it reads only those two paths.
+
+    Combinations that share a key share one :class:`InstancePlan` and
+    its :class:`Environment`. That is safe because nothing downstream
+    writes to a plan: the emitter and :mod:`.explain` only read
+    ``plan.env``.
+    """
+
+    def __init__(
+        self,
+        instances: list[RuleInstance],
+        per_instance: list[list[tuple[ast.Event, ...]]],
+        links: list[Link],
+        registry: TypeRegistry,
+        compiled: list[CompiledRule | None],
+    ):
+        self._instances = instances
+        self._per_instance = per_instance
+        self._links = links
+        self._registry = registry
+        self._compiled = compiled
+        self._terms: dict[
+            tuple[int, int, tuple[int, ...]], tuple[InstancePlan, int, int] | None
+        ] = {}
+        self._activation: dict[tuple[int, int, int], bool] = {}
+
+    def _active(self, combo: tuple[int, ...]) -> list[int]:
+        """Positions of the links active under ``combo``. One link per
+        consumer slot; the nearest producer wins (freshest value)."""
+        links = self._links
+        chosen: dict[tuple[int, str], int] = {}
+        for position, link in enumerate(links):
+            producer_choice = combo[link.producer]
+            consumer_choice = combo[link.consumer]
+            key = (position, producer_choice, consumer_choice)
+            active = self._activation.get(key)
+            if active is None:
+                active = self._activation[key] = _link_activatable(
+                    link,
+                    self._instances[link.producer],
+                    self._per_instance[link.producer][producer_choice],
+                    self._instances[link.consumer],
+                    self._per_instance[link.consumer][consumer_choice],
+                    self._compiled[link.producer],
+                )
+            if not active:
                 continue
-            env.bind(Binding(name, BindingSource.DERIVED, value=value))
-        # Receiver resolution.
-        receiver_pushed = False
-        creates = any(
-            event.is_constructor or event.result == "this" for event in path
-        )
-        if not creates and "this" not in instance.bindings:
-            has_this_link = any(
-                link.consumer == instance.index and link.consumer_object == "this"
-                for link in active
-            )
-            if not has_this_link:
-                receiver_pushed = True
-        # Hard check: the rule's constraints must not be violated.
-        evaluator = ConstraintEvaluator(env, instance.rule, labels, registry)
-        if evaluator.evaluate_all(instance.rule.constraints) is False:
-            return None
-        # Soft check: requires groups without a link or template waiver.
-        for group in instance.rule.requires:
-            group_objects = {
-                alt.args[0].value
-                for alt in group.alternatives
-                if alt.args and isinstance(alt.args[0].value, str)
-            }
-            used = [
-                name
-                for name in group_objects
-                if name != "this" and _path_uses_object(path, name)
-            ]
-            if not used:
-                continue
-            linked = any(
-                link.consumer == instance.index
-                and link.consumer_object in group_objects
-                for link in active
-            )
-            waived = any(
-                (binding := env.get(name)) is not None
-                and binding.source is BindingSource.TEMPLATE
-                for name in used
-            )
-            if not linked and not waived:
-                unsatisfied += 1
-        pushed_total += len(pushed) + (1 if receiver_pushed else 0)
-        deferred = (
-            compiled.invalidating_events(labels)
-            if compiled is not None
-            else invalidating_events(instance.rule, labels)
-        )
-        plans.append(
-            InstancePlan(
-                instance=instance,
-                path=path,
-                env=env,
-                pushed_up=tuple(pushed),
-                deferred=deferred,
-                receiver_pushed=receiver_pushed,
-            )
-        )
-    dropped = tuple(unlinked_instances(instances, active))
-    total_calls = sum(len(plan.path) for plan in plans)
-    total_params = sum(event.arity for plan in plans for event in plan.path)
-    score = (pushed_total, unsatisfied, len(dropped), total_calls, total_params)
-    return _ComboResult(plans, active, score, dropped)
+            slot = (link.consumer, link.consumer_object)
+            current = chosen.get(slot)
+            if current is None or link.producer > links[current].producer:
+                chosen[slot] = position
+        return list(chosen.values())
+
+    def evaluate(self, combo: tuple[int, ...]) -> ChainPlan | None:
+        """The plan and score for one combination; ``None`` when a path
+        violates its rule's CONSTRAINTS."""
+        links = self._links
+        positions = self._active(combo)
+        incoming: list[list[int]] = [[] for _ in combo]
+        for position in positions:
+            incoming[links[position].consumer].append(position)
+        pushed_total = unsatisfied = 0
+        plans: list[InstancePlan] = []
+        for index, choice in enumerate(combo):
+            key = (index, choice, tuple(incoming[index]))
+            if key not in self._terms:
+                self._terms[key] = _evaluate_instance(
+                    self._instances[index],
+                    self._per_instance[index][choice],
+                    [links[position] for position in incoming[index]],
+                    self._instances,
+                    self._registry,
+                    self._compiled[index],
+                )
+            term = self._terms[key]
+            if term is None:
+                return None
+            plan, pushed, unmet = term
+            plans.append(plan)
+            pushed_total += pushed
+            unsatisfied += unmet
+        active = [links[position] for position in positions]
+        dropped = tuple(unlinked_instances(self._instances, active))
+        total_calls = sum(len(plan.path) for plan in plans)
+        total_params = sum(event.arity for plan in plans for event in plan.path)
+        score = (pushed_total, unsatisfied, len(dropped), total_calls, total_params)
+        return ChainPlan(plans, active, score, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +510,21 @@ def select(
 
     with diag.stage("select"):
         per_instance = []
-        for instance in instances:
+        compiled_rules: list[CompiledRule | None] = []
+        for position, instance in enumerate(instances):
+            if instance.index != position:
+                raise ValueError(
+                    f"{instance.rule.class_name}: instance index {instance.index} "
+                    f"at chain position {position}; links address instances "
+                    "by position"
+                )
             if context is not None:
                 compiled = context.compiled(instance.rule)
                 all_paths = compiled.paths
             else:
+                compiled = None
                 all_paths = tuple(enumerate_paths(instance.rule))
+            compiled_rules.append(compiled)
             diag.record_path_count(instance.rule.simple_name, len(all_paths))
             candidates = candidate_paths(instance, all_paths)
             diag.count(PATHS_CANDIDATES, len(all_paths))
@@ -470,12 +543,13 @@ def select(
         for candidates in per_instance:
             combination_count *= len(candidates)
 
-    best: _ComboResult | None = None
+    resolver = _Resolver(instances, per_instance, links, registry, compiled_rules)
+    best: ChainPlan | None = None
     with diag.stage("resolve"):
         if combination_count <= MAX_COMBINATIONS:
-            for combo in itertools.product(*per_instance):
+            for combo in itertools.product(*(range(len(c)) for c in per_instance)):
                 diag.count(COMBOS_EVALUATED)
-                result = _evaluate_combo(instances, combo, links, registry, context)
+                result = resolver.evaluate(combo)
                 if result is None:
                     continue
                 if best is None or result.score < best.score:
@@ -488,20 +562,18 @@ def select(
                 f"path-combination product {combination_count} exceeds "
                 f"{MAX_COMBINATIONS}; falling back to greedy per-instance choice",
             )
-            chosen: list[tuple[ast.Event, ...]] = []
+            chosen: list[int] = []
             for position, candidates in enumerate(per_instance):
                 local_best = None
                 local_best_result = None
-                for path in candidates:
-                    trial = chosen + [path] + [c[0] for c in per_instance[position + 1 :]]
+                for choice in range(len(candidates)):
+                    trial = chosen + [choice] + [0] * (len(per_instance) - position - 1)
                     diag.count(COMBOS_EVALUATED)
-                    result = _evaluate_combo(
-                        instances, tuple(trial), links, registry, context
-                    )
+                    result = resolver.evaluate(tuple(trial))
                     if result is None:
                         continue
                     if local_best is None or result.score < local_best_result.score:
-                        local_best = path
+                        local_best = choice
                         local_best_result = result
                 if local_best is None:
                     raise GenerationError(
@@ -509,12 +581,12 @@ def select(
                         "violates the rule's constraints"
                     )
                 chosen.append(local_best)
-            best = _evaluate_combo(instances, tuple(chosen), links, registry, context)
+            best = resolver.evaluate(tuple(chosen))
 
         if best is None:
             raise GenerationError(
                 "no combination of usage paths satisfies all CONSTRAINTS; "
                 "the considered rules are mutually inconsistent"
             )
-        _record_cascade_tiers(best.plans, diag)
-    return ChainPlan(best.plans, best.active_links, best.score, best.dropped)
+        _record_cascade_tiers(best.instances, diag)
+    return best

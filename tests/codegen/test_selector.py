@@ -13,8 +13,11 @@ from repro.codegen.selector import (
     select,
 )
 from repro.constraints.model import BindingSource
+from repro.diagnostics import COMBOS_EVALUATED, Diagnostics
 from repro.predicates.instances import RuleInstance, TemplateBinding
 from repro.usecases import use_case
+
+from .reference import plan_view, reference_select
 
 
 def _instances(ruleset, *considered):
@@ -262,16 +265,21 @@ class TestAblations:
 
     def test_ablation_greedy_search(self, ruleset, monkeypatch):
         """Past MAX_COMBINATIONS the selector falls back to a greedy
-        per-instance choice; on use case 3 it finds the exhaustive plan."""
+        per-instance choice; on use case 3 it finds the exhaustive plan,
+        and through the memo it picks what the reference greedy picks."""
         exhaustive = select(self._pbe_instances(ruleset))
         monkeypatch.setattr(selector_module, "MAX_COMBINATIONS", 0)
+        diag = Diagnostics()
 
-        greedy = select(self._pbe_instances(ruleset))
+        greedy = select(self._pbe_instances(ruleset), diagnostics=diag)
 
         assert greedy.score == exhaustive.score
         assert [p.labels for p in greedy.instances] == [
             p.labels for p in exhaustive.instances
         ]
+        assert any("falling back to greedy" in w.message for w in diag.warnings)
+        oracle = reference_select(self._pbe_instances(ruleset), max_combinations=0)
+        assert plan_view(greedy) == plan_view(oracle)
 
     def test_ablation_value_set_order(self, ruleset):
         """§4: the authors re-ordered `in {..}` sets to steer selection —
@@ -306,6 +314,18 @@ class TestAblations:
 
 
 class TestErrors:
+    def test_instance_index_must_match_position(self, ruleset):
+        """Links address instances by chain position, so an instance
+        whose index disagrees with its position is refused up front."""
+        instances = _instances(
+            ruleset,
+            ConsideredRule("repro.jca.SecureRandom"),
+            ConsideredRule("repro.jca.PBEKeySpec"),
+        )
+        instances.reverse()
+        with pytest.raises(ValueError, match="chain position 0"):
+            select(instances)
+
     def test_bad_rule_var_reported(self, ruleset):
         instances = _instances(
             ruleset,
@@ -315,3 +335,15 @@ class TestErrors:
         )
         with pytest.raises(GenerationError, match="no_such_var"):
             select(instances)
+
+
+class TestCompiledRuleLookups:
+    def test_hybrid_looks_up_rules_per_instance_not_per_combination(self, generator):
+        """The selector resolves each instance's compiled rule once per
+        chain, so a hybrid's 321 combinations cost no extra lookups."""
+        module = generator.generate_from_file(use_case(6).template_path())
+
+        assert use_case(6).slug == "hybrid_strings"
+        combos = module.diagnostics.counter(COMBOS_EVALUATED)
+        assert combos == 321
+        assert module.diagnostics.counter("compiled_rules.hits") < combos
