@@ -30,7 +30,6 @@ from .store import (
     SCHEMA_VERSION,
     CacheDirectoryError,
     CachedArtefacts,
-    CacheEvent,
     DiskRuleCache,
     LoadResult,
     PickleStore,
@@ -40,7 +39,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CacheDirectoryError",
     "CachedArtefacts",
-    "CacheEvent",
     "DiskRuleCache",
     "LoadResult",
     "LRUCache",

@@ -8,6 +8,10 @@ that already fold in the rule-set fingerprint, so a rule change makes
 old entries unreachable; the owner calls :meth:`LRUCache.clear` on a
 rule refresh only so that dead entries stop pinning memory.
 
+A cache counts ``<name>.<field>`` for each of :data:`FIELDS` into its
+:class:`~repro.diagnostics.Diagnostics` only, attributed to the run or
+request recording around the call; :meth:`LRUCache.to_dict` reads back.
+
 Cached values are shared by reference with every hit and must be
 treated as immutable by callers.
 """
@@ -18,12 +22,17 @@ import threading
 from collections import OrderedDict
 from typing import Generic, Hashable, TypeVar
 
+from ..diagnostics import Diagnostics
 from .store import PickleStore
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 _MISSING = object()
+
+#: The counted fields, in ``to_dict`` order (``disk_hits`` is the subset
+#: of hits read from disk; ``invalidations`` are entries ``clear`` drops).
+FIELDS = ("hits", "misses", "disk_hits", "stores", "evictions", "invalidations")
 
 
 class LRUCache(Generic[K, V]):
@@ -38,17 +47,15 @@ class LRUCache(Generic[K, V]):
     from the store as misses, never as exceptions.
     """
 
-    def __init__(self, capacity: int, *, disk: PickleStore | None = None):
+    def __init__(
+        self, capacity: int, *, name: str, disk: PickleStore | None = None
+    ):
         self.capacity = capacity
+        self.name = name  # counter-key prefix
         self.disk = disk
+        self.diagnostics = Diagnostics()  # the cache's lifetime counts
         self._entries: "OrderedDict[K, V]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.stores = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     @property
     def persistent(self) -> bool:
@@ -58,24 +65,30 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             return len(self._entries)
 
+    def count(self, field: str) -> int:
+        """The lifetime count of one of :data:`FIELDS`."""
+        return self.diagnostics.counter(f"{self.name}.{field}")
+
+    def _count(self, field: str, amount: int = 1) -> None:
+        self.diagnostics.count_attributed(f"{self.name}.{field}", amount)
+
     def load(self, key: K) -> V | None:
         """The cached value, refreshed to most-recently-used; or None."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is not _MISSING:
                 self._entries.move_to_end(key)
-                self.hits += 1
+                self._count("hits")
                 return value
         if self.disk is not None and self.capacity > 0:
             result = self.disk.load(key)
             if result.hit:
                 with self._lock:
-                    self.hits += 1
-                    self.disk_hits += 1
+                    self._count("hits")
+                    self._count("disk_hits")
                     self._insert(key, result.artefacts)
                 return result.artefacts
-        with self._lock:
-            self.misses += 1
+        self._count("misses")
         return None
 
     def store(self, key: K, value: V) -> None:
@@ -83,7 +96,7 @@ class LRUCache(Generic[K, V]):
         if self.capacity <= 0:
             return
         with self._lock:
-            self.stores += 1
+            self._count("stores")
             self._insert(key, value)
         if self.disk is not None:
             self.disk.store(key, value)
@@ -95,7 +108,7 @@ class LRUCache(Generic[K, V]):
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self._count("evictions")
 
     def clear(self) -> int:
         """Drop every in-memory entry (the disk tier is left alone);
@@ -103,38 +116,30 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
-            self.invalidations += dropped
+            if dropped:
+                self._count("invalidations", dropped)
             return dropped
 
     @property
     def hit_rate(self) -> float:
         """Hits over lookups, 0.0 when nothing has been looked up."""
-        with self._lock:
-            return self._hit_rate()
-
-    def _hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
+        return self.to_dict()["hit_rate"]
 
     def to_dict(self) -> dict:
         """A JSON-serialisable counter snapshot (the ``stats`` op)."""
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "size": len(self._entries),
-                "persistent": self.persistent,
-                "hits": self.hits,
-                "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "stores": self.stores,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "hit_rate": self._hit_rate(),
-            }
+        counts = {field: self.count(field) for field in FIELDS}
+        lookups = counts["hits"] + counts["misses"]
+        return {
+            "capacity": self.capacity,
+            "size": len(self),
+            "persistent": self.persistent,
+            **counts,
+            "hit_rate": counts["hits"] / lookups if lookups else 0.0,
+        }
 
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} size={len(self)}/{self.capacity} "
-            f"hits={self.hits} misses={self.misses} "
+            f"hits={self.count('hits')} misses={self.count('misses')} "
             f"disk={'on' if self.persistent else 'off'}>"
         )

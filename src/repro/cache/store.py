@@ -30,8 +30,10 @@ the cache directory + ``os.replace``), so concurrent writers racing on
 one key leave a valid entry — last writer wins, both wrote identical
 bytes by construction.  A corrupt or stale entry (truncated pickle,
 wrong payload type, schema drift) is *evicted*: the file is unlinked,
-a structured :class:`CacheEvent` is recorded for the diagnostics
-layer, and the caller recomputes.
+and the caller recomputes.  Evictions and transient I/O failures are
+counted (``<name>.evictions``, ``<name>.io_errors``) and warned about
+only into a :class:`~repro.diagnostics.Diagnostics`, so a store's state
+stays fixed-size however much traffic fails.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ import hashlib
 import os
 import pickle
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .. import faults
+from ..diagnostics import Diagnostics
 from ..trace import span as _trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fsm -> crysl)
@@ -111,18 +113,6 @@ class CachedArtefacts:
     constraint_index: dict[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class CacheEvent:
-    """A structured, non-fatal cache observation (for diagnostics)."""
-
-    kind: str  # "evicted" | "write-failed" | "io-error"
-    key: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"disk cache [{self.kind}] {self.key[:12]}…: {self.message}"
-
-
 @dataclass
 class LoadResult:
     """Outcome of one :meth:`DiskRuleCache.load` call."""
@@ -146,10 +136,10 @@ class PickleStore:
     the compiled-rule store (:class:`DiskRuleCache`) subclasses it, and
     the per-function summary cache (:mod:`repro.sast.summary_cache`)
     plugs one in as the disk tier of its :class:`~repro.cache.LRUCache`.
-    Each configures its own file suffix, payload type and schema
-    version. Entries are validated on load — a corrupt,
-    mistyped or schema-drifted pickle is evicted and recomputed by the
-    caller, never surfaced as an exception.
+    Each configures its own file suffix, payload type, schema version
+    and counter-key prefix (``name``). Entries are validated on load —
+    a corrupt, mistyped or schema-drifted pickle is evicted and
+    recomputed by the caller, never surfaced as an exception.
 
     The store validates writability up front (create the directory,
     write and remove a probe file) so misconfiguration surfaces as one
@@ -163,19 +153,17 @@ class PickleStore:
         suffix: str,
         payload_type: type,
         schema_version: int,
+        name: str,
     ):
         self.directory = Path(directory)
         self.schema_version = schema_version
         self._suffix = suffix
         self._payload_type = payload_type
-        self.events: list[CacheEvent] = []
-        #: transient I/O failures absorbed by the bounded retry (each
-        #: failed *attempt* counts, whether or not a retry recovered it)
-        self.io_errors = 0
-        # Load/store are already safe under concurrency (atomic file
-        # replace, content-addressed keys); the event journal is the
-        # one piece of shared mutable state, so it gets its own lock.
-        self._events_lock = threading.Lock()
+        #: lifetime counts; ``io_errors`` counts every failed *attempt*,
+        #: whether or not a retry recovered it
+        self.diagnostics = Diagnostics()
+        self._io_errors_key = f"{name}.io_errors"
+        self._evictions_key = f"{name}.evictions"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             # The probe must be unique per construction: parallel batch
@@ -237,18 +225,11 @@ class PickleStore:
                 raise
             except (OSError, EOFError) as exc:
                 last = exc
-                self._count_io_error(key=path.name, error=exc)
+                self._io_error(path.name, exc)
                 if attempt + 1 < IO_ATTEMPTS:
                     time.sleep(IO_RETRY_BASE_SECONDS * (2**attempt))
         assert last is not None
         raise last
-
-    def _count_io_error(self, *, key: str, error: Exception) -> None:
-        with self._events_lock:
-            self.io_errors += 1
-            self.events.append(
-                CacheEvent("io-error", key, f"transient I/O failure: {error}")
-            )
 
     def _load(self, key: str) -> LoadResult:
         path = self.path_for(key)
@@ -257,28 +238,26 @@ class PickleStore:
         except FileNotFoundError:
             return LoadResult()
         except (OSError, EOFError) as exc:
-            self._record(CacheEvent("evicted", key, f"unreadable: {exc}"))
-            return LoadResult(evicted=self._evict_file(path))
+            return LoadResult(evicted=self.evict(key, f"unreadable: {exc}"))
         try:
             artefacts = pickle.loads(payload)
         except Exception as exc:  # truncated/corrupt pickles raise variously
-            self._record(
-                CacheEvent("evicted", key, f"corrupt entry ({exc!r}); recomputing")
-            )
-            return LoadResult(evicted=self._evict_file(path))
-        if (
-            not isinstance(artefacts, self._payload_type)
-            or getattr(artefacts, "schema_version", None) != self.schema_version
-        ):
-            self._record(
-                CacheEvent("evicted", key, "stale entry (schema drift); recomputing")
-            )
-            return LoadResult(evicted=self._evict_file(path))
-        return LoadResult(artefacts=artefacts)
+            problem = f"corrupt entry ({exc!r})"
+        else:
+            if (
+                isinstance(artefacts, self._payload_type)
+                and getattr(artefacts, "schema_version", None)
+                == self.schema_version
+            ):
+                return LoadResult(artefacts=artefacts)
+            problem = "stale entry (schema drift)"
+        return LoadResult(evicted=self.evict(key, f"{problem}; recomputing"))
 
     def evict(self, key: str, message: str) -> bool:
-        """Explicitly drop one entry (e.g. it no longer matches its rule)."""
-        self._record(CacheEvent("evicted", key, message))
+        """Drop one entry (corrupt, stale, or no longer matching its
+        rule); counted as an eviction. Returns whether the file is gone."""
+        self.diagnostics.count_attributed(self._evictions_key)
+        self._warn("evicted", key, message)
         return self._evict_file(self.path_for(key))
 
     def _evict_file(self, path: Path) -> bool:
@@ -316,11 +295,11 @@ class PickleStore:
                     os.unlink(temp_name)
                     raise
             except (OSError, EOFError) as exc:
-                self._count_io_error(key=key, error=exc)
+                self._io_error(key, exc)
                 if attempt + 1 < IO_ATTEMPTS:
                     time.sleep(IO_RETRY_BASE_SECONDS * (2**attempt))
                     continue
-                self._record(CacheEvent("write-failed", key, str(exc)))
+                self._warn("write-failed", key, str(exc))
                 return False
             return True
         return False  # pragma: no cover - loop always returns
@@ -329,15 +308,14 @@ class PickleStore:
     # diagnostics plumbing
     # ------------------------------------------------------------------
 
-    def _record(self, event: CacheEvent) -> None:
-        with self._events_lock:
-            self.events.append(event)
+    def _io_error(self, key: str, error: Exception) -> None:
+        self.diagnostics.count_attributed(self._io_errors_key)
+        self._warn("io-error", key, f"transient I/O failure: {error}")
 
-    def drain_events(self) -> list[CacheEvent]:
-        """Hand accumulated events to the diagnostics layer (and reset)."""
-        with self._events_lock:
-            events, self.events = self.events, []
-        return events
+    def _warn(self, kind: str, key: str, message: str) -> None:
+        self.diagnostics.warn_attributed(
+            "cache", f"disk cache [{kind}] {key[:12]}…: {message}"
+        )
 
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""
@@ -358,10 +336,10 @@ class DiskRuleCache(PickleStore):
     """The compiled-rule artefact store (a :class:`PickleStore` of
     :class:`CachedArtefacts`).
 
-    Counter *ownership* lives with the consumer: the
-    :class:`~repro.crysl.ruleset.RuleSet` folds hit/miss/evict/write
-    movement into its lifetime :class:`~repro.diagnostics.Diagnostics`; the
-    cache itself only records structured :class:`CacheEvent`\\ s.
+    Evictions and I/O errors count as ``disk_cache.*`` here; hits,
+    misses and writes in the consuming
+    :class:`~repro.crysl.ruleset.RuleSet`, which alone knows whether a
+    loaded entry still matches its rule.
     """
 
     def __init__(
@@ -374,6 +352,7 @@ class DiskRuleCache(PickleStore):
             suffix=_SUFFIX,
             payload_type=CachedArtefacts,
             schema_version=schema_version,
+            name="disk_cache",
         )
 
     def key(self, rule_source: str, *, max_paths: int | None = None) -> str:

@@ -16,8 +16,9 @@ exactly once. Each :meth:`run` yields a fresh per-run
 :class:`~repro.diagnostics.Diagnostics` that records the rule set's
 compile-cache counts while the run lasts, and on exit merges it into
 the cumulative record; with a disk cache attached, run exit also
-flushes newly compiled artefacts to disk and folds cache events into
-the run's warnings. Runs may execute concurrently from many threads
+flushes newly compiled artefacts to disk, and the store's evictions,
+I/O errors and warnings reach the run's record as they happen. Runs
+may execute concurrently from many threads
 over one shared rule set: the recording is context-local
 (:meth:`repro.diagnostics.Diagnostics.recording`), so one request's
 DFA builds never leak into another request's record.
@@ -40,7 +41,6 @@ from ..diagnostics import (
     DFA_BUILDS,
     DISK_EVICTIONS,
     DISK_HITS,
-    DISK_IO_ERRORS,
     DISK_MISSES,
     DISK_WRITES,
     PATH_ENUMERATIONS,
@@ -108,11 +108,6 @@ class GenerationContext:
                     with trace_span("cache:flush"):
                         self.ruleset.flush_disk_cache()
         finally:
-            if disk:
-                for event in self.ruleset.drain_disk_cache_events():
-                    if event.kind == "io-error":
-                        diag.count(DISK_IO_ERRORS)
-                    diag.warn("cache", str(event))
             self.runs += 1
             self.diagnostics.merge(diag)
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from ..diagnostics import (
     COMPILED_HITS,
     COMPILED_MISSES,
-    DISK_EVICTIONS,
     DISK_HITS,
     DISK_MISSES,
     DISK_WRITES,
@@ -31,7 +30,7 @@ from .parser import parse_rule
 from .typecheck import check_rule
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
-    from ..cache.store import CacheEvent, DiskRuleCache
+    from ..cache.store import DiskRuleCache
 
 
 class FrozenRuleSetError(TypeError):
@@ -293,9 +292,8 @@ class RuleSet:
         if source is None:
             return
         entry.disk_key = self._disk_cache.key(source, max_paths=entry.max_paths)
+        # The store counts its own evictions (disk_cache.evictions).
         result = self._disk_cache.load(entry.disk_key)
-        if result.evicted:
-            self.diagnostics.count_attributed(DISK_EVICTIONS)
         if result.artefacts is not None:
             if entry.preload(result.artefacts):
                 self.diagnostics.count_attributed(DISK_HITS)
@@ -306,7 +304,6 @@ class RuleSet:
                 f"{entry.rule.class_name}: entry does not match the rule; "
                 "recomputing",
             )
-            self.diagnostics.count_attributed(DISK_EVICTIONS)
         self.diagnostics.count_attributed(DISK_MISSES)
 
     def flush_disk_cache(self) -> int:
@@ -332,12 +329,6 @@ class RuleSet:
                 entry.persisted = True
                 written += 1
         return written
-
-    def drain_disk_cache_events(self) -> "list[CacheEvent]":
-        """Structured disk-cache observations since the last drain."""
-        if self._disk_cache is None:
-            return []
-        return self._disk_cache.drain_events()
 
     def get(self, class_name: str) -> Rule:
         """Look up by qualified or (unambiguous) simple class name."""

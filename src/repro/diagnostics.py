@@ -13,12 +13,12 @@ harness) can report totals. ``cognicrypt-gen generate --stats`` prints
 :meth:`Diagnostics.render`; ``GeneratedModule.report_dict()`` embeds
 :meth:`Diagnostics.to_dict`.
 
-It is the one counter store: a rule set's compile cache, the worker
-pool supervisor and the serve daemon all count into a
-:class:`Diagnostics`. Work that a long-lived owner counts on behalf of
-a request — a rule set's DFA builds, say — is attributed to that
-request with :meth:`Diagnostics.recording` and
-:meth:`Diagnostics.count_attributed`.
+It is the one counter store: rule compilation, the memo caches, the
+disk stores, the breakers, the pool supervisor and the serve daemon
+all count into a :class:`Diagnostics`. Work that a long-lived owner
+counts on behalf of a request — a rule set's DFA builds, say — is
+attributed to that request with :meth:`Diagnostics.recording` and
+:meth:`Diagnostics.count_attributed` (or ``warn_attributed``).
 """
 
 from __future__ import annotations
@@ -87,18 +87,19 @@ ANALYSIS_FINDINGS = "analysis.findings"
 ANALYSIS_REANALYZED = "analysis.reanalyzed_functions"
 ANALYSIS_SUPPRESSED = "analysis.suppressed_findings"
 
-#: Per-function summary cache counters (repro.sast.summary_cache).
+#: Per-function summary cache counters (the ``summary_cache`` LRUCache).
 SUMMARY_HITS = "summary_cache.hits"
 SUMMARY_MISSES = "summary_cache.misses"
 SUMMARY_STORES = "summary_cache.stores"
 SUMMARY_INVALIDATIONS = "summary_cache.invalidations"
 
-#: Fault-tolerance counters. The disk-cache retry (repro.cache.store)
-#: counts absorbed transient I/O failures; the supervised worker pool
+#: Fault-tolerance counters. Each disk store (repro.cache.store) counts
+#: absorbed transient I/O failures (the rule store as ``disk_cache.*``,
+#: the summary store as ``summary_store.*``); the supervised worker pool
 #: (repro.workers) counts batches, pool rebuilds, batch retries,
 #: proactive worker recycles and serial-fallback batches; the circuit
-#: breakers (repro.engine.breaker) count trips and fast-fails; the
-#: serve daemon (repro.engine.server) counts load-shed and overload
+#: breakers (repro.engine.breaker) count trips, fast-fails and resets;
+#: the serve daemon (repro.engine.server) counts load-shed and overload
 #: rejections, deadline timeouts and accept-loop fd exhaustion events.
 DISK_IO_ERRORS = "disk_cache.io_errors"
 SUPERVISOR_BATCHES = "supervisor.batches"
@@ -108,6 +109,7 @@ SUPERVISOR_RECYCLES = "supervisor.recycles"
 SUPERVISOR_DEGRADED = "supervisor.degraded_batches"
 BREAKER_OPENS = "breaker.opens"
 BREAKER_FAST_FAILS = "breaker.fast_fails"
+BREAKER_RESETS = "breaker.resets"
 SERVER_SHED = "server.shed_requests"
 SERVER_OVERLOADS = "server.overloads"
 SERVER_ACCEPT_ERRORS = "server.accept_errors"
@@ -128,7 +130,7 @@ _TIER_LABELS = (
 
 
 #: The most warnings one record keeps. An engine's cumulative record
-#: absorbs every run's warnings (disk-cache events, greedy fallbacks)
+#: absorbs every run's warnings (disk-store events, greedy fallbacks)
 #: for its whole lifetime, so older ones are dropped — and counted in
 #: ``warnings_dropped`` — once this many are held.
 MAX_WARNINGS = 200
@@ -247,9 +249,17 @@ class Diagnostics:
             if sink is not self:
                 sink.count(key, amount)
 
+    def warn_attributed(self, stage: str, message: str) -> None:
+        """The :meth:`warn` twin of :meth:`count_attributed`."""
+        self.warn(stage, message)
+        for sink in _RECORDING.get():
+            if sink is not self:
+                sink.warn(stage, message)
+
     @contextmanager
     def recording(self) -> Iterator["Diagnostics"]:
-        """Receive every :meth:`count_attributed` made in this context.
+        """Receive every :meth:`count_attributed` and
+        :meth:`warn_attributed` made in this context.
 
         Scoped to the current thread (more precisely, the current
         :mod:`contextvars` context) for the duration of the block.

@@ -26,6 +26,10 @@ The registry is bounded (:attr:`BreakerConfig.max_breakers`, evicting
 the least-recently-touched entry) so an attacker cycling unique bad
 inputs cannot grow it without limit — a robustness layer must not be
 its own memory leak.
+
+Trips, fast-fails and resets count only into a
+:class:`~repro.diagnostics.Diagnostics` (``breaker.*``), so reported
+trips survive a reset or the eviction of the breaker that tripped.
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..diagnostics import BREAKER_FAST_FAILS, BREAKER_OPENS, Diagnostics
+from ..diagnostics import (
+    BREAKER_FAST_FAILS,
+    BREAKER_OPENS,
+    BREAKER_RESETS,
+    Diagnostics,
+)
 from ..trace import event as trace_event
 
 #: Breaker state names (also the wire spelling in ``health``/``stats``).
@@ -76,7 +85,7 @@ class BreakerConfig:
 class _Breaker:
     """One key's state machine; guarded by the registry's lock."""
 
-    __slots__ = ("state", "failures", "opened_at", "probing", "trips")
+    __slots__ = ("state", "failures", "opened_at", "probing")
 
     def __init__(self) -> None:
         self.state = CLOSED
@@ -84,7 +93,6 @@ class _Breaker:
         self.opened_at = 0.0
         #: True while the single half-open probe is in flight
         self.probing = False
-        self.trips = 0
 
 
 class BreakerRegistry:
@@ -97,10 +105,9 @@ class BreakerRegistry:
         diagnostics: Diagnostics | None = None,
     ):
         self.config = config or BreakerConfig()
-        self.diagnostics = diagnostics
+        self.diagnostics = diagnostics if diagnostics is not None else Diagnostics()
         self._lock = threading.Lock()
         self._breakers: "OrderedDict[tuple[str, str], _Breaker]" = OrderedDict()
-        self.resets = 0
 
     # ------------------------------------------------------------------
     # the request-path API
@@ -130,8 +137,7 @@ class BreakerRegistry:
                 breaker.probing = True
                 return
             retry_after_ms = max(remaining, 0.001) * 1000.0
-        if self.diagnostics is not None:
-            self.diagnostics.count(BREAKER_FAST_FAILS)
+        self.diagnostics.count(BREAKER_FAST_FAILS)
         trace_event("breaker:fast-fail", op=key[0], retry_after_ms=retry_after_ms)
         raise CircuitOpenError(key, retry_after_ms)
 
@@ -166,11 +172,9 @@ class BreakerRegistry:
                 breaker.state = OPEN
                 breaker.opened_at = time.monotonic()
                 breaker.probing = False
-                breaker.trips += 1
                 tripped = True
         if tripped:
-            if self.diagnostics is not None:
-                self.diagnostics.count(BREAKER_OPENS)
+            self.diagnostics.count(BREAKER_OPENS)
             trace_event("breaker:open", op=key[0])
         return tripped
 
@@ -183,7 +187,7 @@ class BreakerRegistry:
         with self._lock:
             dropped = len(self._breakers)
             self._breakers.clear()
-            self.resets += 1
+        self.diagnostics.count(BREAKER_RESETS)
         return dropped
 
     def state_of(self, key: tuple[str, str]) -> str:
@@ -196,10 +200,8 @@ class BreakerRegistry:
         with self._lock:
             by_state = {CLOSED: 0, OPEN: 0, HALF_OPEN: 0}
             open_keys = []
-            trips = 0
             for key, breaker in self._breakers.items():
                 by_state[breaker.state] += 1
-                trips += breaker.trips
                 if breaker.state != CLOSED:
                     open_keys.append(
                         {
@@ -212,8 +214,8 @@ class BreakerRegistry:
             return {
                 "tracked": len(self._breakers),
                 "by_state": by_state,
-                "trips": trips,
-                "resets": self.resets,
+                "trips": self.diagnostics.counter(BREAKER_OPENS),
+                "resets": self.diagnostics.counter(BREAKER_RESETS),
                 "open": open_keys,
                 "failure_threshold": self.config.failure_threshold,
                 "cooldown_seconds": self.config.cooldown_seconds,

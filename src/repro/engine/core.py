@@ -62,7 +62,7 @@ from ..crysl import CrySLError, RuleRepository, RuleSet, bundled_ruleset
 from ..crysl.repository import RefreshReport
 from ..diagnostics import (
     DFA_BUILDS,
-    SUMMARY_INVALIDATIONS,
+    DISK_IO_ERRORS,
     Diagnostics,
     register_stage,
 )
@@ -256,6 +256,12 @@ class AnalyzeResult(_ResultBase):
         return payload
 
 
+def _decode_template(data: bytes) -> str:
+    """Template bytes as ``Path.read_text(encoding="utf-8")`` reads them:
+    strict UTF-8, universal newlines."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def expand_analyze_paths(entries: Iterable[str | Path]) -> list[Path]:
     """Files as-is; directories recurse into ``*.py``.
 
@@ -328,7 +334,7 @@ class CryptoGenEngine:
         #: memo of completed generate requests; hits share the module
         #: object, so nothing may mutate a cached GeneratedModule
         self.result_cache: "LRUCache[ResultKey, GeneratedModule]" = LRUCache(
-            result_cache_size
+            result_cache_size, name="result_cache"
         )
         #: per-(op, input-fingerprint) circuit breakers — a poisoned
         #: template fails fast instead of burning a worker per arrival
@@ -368,9 +374,9 @@ class CryptoGenEngine:
         caches from pinning dead rule-set snapshots.
         """
         self.result_cache.clear()
-        dropped = self.summary_cache.clear()
-        if dropped:
-            self.diagnostics.count(SUMMARY_INVALIDATIONS, dropped)
+        # The engine's record counts summary_cache.invalidations.
+        with self.diagnostics.recording():
+            self.summary_cache.clear()
         self.context = GenerationContext(
             ruleset=ruleset,
             registry=self._registry,
@@ -462,28 +468,37 @@ class CryptoGenEngine:
         with self._lock:
             self.requests += 1
 
-    def _result_key(self, request: GenerateRequest) -> ResultKey | None:
+    @staticmethod
+    def _payload(request: GenerateRequest) -> bytes | OSError | None:
+        """The request's template bytes (or the ``OSError`` reading the
+        file raised; None without a payload). Key, breaker and pipeline
+        share this one read, so a racing save cannot pair one content's
+        module with another content's key."""
+        if request.source is not None:
+            return request.source.encode("utf-8")
+        if request.template is not None:
+            try:
+                return Path(request.template).read_bytes()
+            except OSError as exc:
+                return exc
+        return None
+
+    def _result_key(
+        self, request: GenerateRequest, digest: str | None
+    ) -> ResultKey | None:
         """The request's result-cache identity; None when uncacheable.
 
-        Template files are keyed by *content* digest, so an edited
+        Templates are keyed by the *content* ``digest``, so an edited
         template misses instead of serving stale code; an unreadable
-        file returns None and lets the pipeline produce the structured
-        error (errors are never cached).
+        file (no digest) lets the pipeline produce the structured error
+        (errors are never cached).
         """
-        if self.result_cache.capacity <= 0:
+        if self.result_cache.capacity <= 0 or digest is None:
             return None
         if request.source is not None:
-            digest = hashlib.sha256(request.source.encode("utf-8")).hexdigest()
             name = request.name or "<template>"
-        elif request.template is not None:
-            path = Path(request.template)
-            try:
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            except OSError:
-                return None
-            name = path.stem
         else:
-            return None
+            name = Path(request.template).stem
         verify = self._verify if request.verify is None else request.verify
         return ResultKey(
             template_digest=digest,
@@ -507,7 +522,6 @@ class CryptoGenEngine:
         with activate_trace(trace), trace.span("request:generate"):
             with trace.span("result-cache:hit"):
                 pass
-        self.diagnostics.count("result_cache.hits")
         self._count_request()
         return GenerateResult(
             request_id=request_id,
@@ -518,26 +532,6 @@ class CryptoGenEngine:
             cached=True,
             module=module,
         )
-
-    def _breaker_fingerprint(self, request: GenerateRequest) -> str | None:
-        """A stable identity for the request's *input* (breaker key).
-
-        Inline sources are keyed by content; template files by content
-        too when readable, falling back to the path spelling (an
-        unreadable path is its own failure mode worth breaking on).
-        ``None`` for requests with no payload at all — a malformed
-        request is not an input identity.
-        """
-        if request.source is not None:
-            basis = request.source.encode("utf-8")
-        elif request.template is not None:
-            try:
-                basis = Path(request.template).read_bytes()
-            except OSError:
-                basis = f"path:{request.template}".encode("utf-8")
-        else:
-            return None
-        return hashlib.sha256(basis).hexdigest()
 
     def _circuit_open_result(
         self, request_id: str, op: str, exc: CircuitOpenError
@@ -571,13 +565,23 @@ class CryptoGenEngine:
         every arrival.
         """
         request_id = self._next_request_id(request.request_id)
-        key = self._result_key(request)
+        payload = self._payload(request)
+        readable = isinstance(payload, bytes)
+        digest = hashlib.sha256(payload).hexdigest() if readable else None
+        key = self._result_key(request, digest)
         if key is not None:
-            hit = self.result_cache.load(key)
+            # Lookups count into the engine's record (result_cache.*).
+            with self.diagnostics.recording():
+                hit = self.result_cache.load(key)
             if hit is not None:
                 return self._cached_result(request_id, hit)
-            self.diagnostics.count("result_cache.misses")
-        fingerprint = self._breaker_fingerprint(request)
+        # Breakers key inputs by content; an unreadable path is its own
+        # failure mode worth breaking on, keyed by its spelling.
+        fingerprint = digest
+        if isinstance(payload, OSError):
+            fingerprint = hashlib.sha256(
+                f"path:{request.template}".encode("utf-8")
+            ).hexdigest()
         breaker_key = ("generate", fingerprint) if fingerprint else None
         if breaker_key is not None:
             try:
@@ -601,9 +605,13 @@ class CryptoGenEngine:
                                 request.name or "<template>",
                                 verify=request.verify,
                             )
-                        elif request.template is not None:
-                            module = self._generator.generate_from_file(
-                                request.template, verify=request.verify
+                        elif isinstance(payload, OSError):
+                            raise payload
+                        elif payload is not None:
+                            module = self._generator.generate_from_source(
+                                _decode_template(payload),
+                                str(Path(request.template)),
+                                verify=request.verify,
                             )
                         else:
                             raise EngineRequestError(
@@ -831,7 +839,7 @@ class CryptoGenEngine:
         pool_stats = pool.to_dict() if pool is not None else None
         degraded = bool(pool is not None and pool.degraded)
         disk_cache = (
-            {"io_errors": self._cache.io_errors}
+            {"io_errors": self._cache.diagnostics.counter(DISK_IO_ERRORS)}
             if self._cache is not None
             else None
         )

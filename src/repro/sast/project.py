@@ -195,6 +195,8 @@ class ProjectAnalyzer:
         analyzer = self._analyzer
         cache = self.summary_cache
         diag = Diagnostics()
+        for key in (SUMMARY_HITS, SUMMARY_MISSES, SUMMARY_STORES):
+            diag.count(key, 0)  # every run reports these, zero or not
         with trace_span("sast:lift"):
             parsed = {
                 key: pyast.parse(text, filename=key)
@@ -229,7 +231,9 @@ class ProjectAnalyzer:
         results = {key: AnalysisResult() for key in sources}
         hits = 0
         reanalyzed = 0
-        with trace_span("sast:analyze"):
+        # The summary cache and its disk store count into this run's
+        # record (summary_cache.*, summary_store.*).
+        with trace_span("sast:analyze"), diag.recording():
             for ref in graph.order():
                 ir = graph.functions[ref]
                 entry = cache.load(keys[ref])
@@ -295,9 +299,6 @@ class ProjectAnalyzer:
         )
         diag.count(ANALYSIS_REANALYZED, reanalyzed)
         diag.count(ANALYSIS_SUPPRESSED, suppressed)
-        diag.count(SUMMARY_HITS, hits)
-        diag.count(SUMMARY_MISSES, reanalyzed)
-        diag.count(SUMMARY_STORES, reanalyzed)
         return (
             ProjectAnalysisResult(
                 modules=results,

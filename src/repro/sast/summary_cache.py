@@ -153,6 +153,9 @@ class SummaryCache(LRUCache[str, CachedFunctionAnalysis]):
     recomputed, never surfaced. Entries of a dead rule set need no
     index: the rule-set fingerprint is part of every key, and the
     engine clears the memory tier when it swaps rule sets.
+
+    Lookups count as ``summary_cache.*``, the disk tier's evictions and
+    I/O errors as ``summary_store.*``.
     """
 
     def __init__(
@@ -170,8 +173,9 @@ class SummaryCache(LRUCache[str, CachedFunctionAnalysis]):
                 suffix=_SUFFIX,
                 payload_type=CachedFunctionAnalysis,
                 schema_version=schema_version,
+                name="summary_store",
             )
-        super().__init__(capacity, disk=disk)
+        super().__init__(capacity, name="summary_cache", disk=disk)
 
     @property
     def directory(self) -> Path | None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.cache import LRUCache, PickleStore
+from repro.diagnostics import Diagnostics
 
 SCHEMA = 1
 
@@ -40,8 +41,9 @@ def make(request, tmp_path):
                 suffix=".entry.pkl",
                 payload_type=Entry,
                 schema_version=SCHEMA,
+                name="lru_store",
             )
-        return LRUCache(capacity, disk=disk)
+        return LRUCache(capacity, name="lru", disk=disk)
 
     return build
 
@@ -52,9 +54,20 @@ class TestLRUCache:
         assert cache.load("a") is None
         cache.store("a", v(1))
         assert cache.load("a") == v(1)
-        assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
-        assert cache.disk_hits == 0  # answered from memory
+        assert cache.count("hits") == 1 and cache.count("misses") == 1 and cache.count("stores") == 1
+        assert cache.count("disk_hits") == 0  # answered from memory
         assert cache.hit_rate == 0.5
+
+    def test_counts_reach_the_recording_caller(self, make):
+        cache = make(4)
+        with Diagnostics().recording() as run:
+            cache.load("a")
+            cache.store("a", v(1))
+            cache.load("a")
+        cache.load("a")  # nobody recording: the cache's own record only
+        assert run.counters == {"lru.misses": 1, "lru.stores": 1, "lru.hits": 1}
+        assert cache.count("hits") == 2
+        assert cache.diagnostics.counters["lru.hits"] == 2
 
     def test_lru_eviction_order(self, make):
         cache = make(2)
@@ -62,9 +75,9 @@ class TestLRUCache:
         cache.store("b", v(2))
         assert cache.load("a") == v(1)  # refresh 'a' to most-recent
         cache.store("c", v(3))  # overflows: 'b' is now the LRU victim
-        assert cache.evictions == 1
+        assert cache.count("evictions") == 1
         assert cache.load("a") == v(1) and cache.load("c") == v(3)
-        assert cache.disk_hits == 0
+        assert cache.count("disk_hits") == 0
         # 'b' left memory; a disk tier still holds it
         expected = v(2) if cache.persistent else None
         assert cache.load("b") == expected
@@ -75,14 +88,14 @@ class TestLRUCache:
         cache.store("a", v(2))
         assert len(cache) == 1
         assert cache.load("a") == v(2)
-        assert cache.evictions == 0
+        assert cache.count("evictions") == 0
 
     def test_zero_capacity_disables(self, make):
         cache = make(0)
         cache.store("a", v(1))
         assert len(cache) == 0
         assert cache.load("a") is None
-        assert cache.stores == 0
+        assert cache.count("stores") == 0
         if cache.persistent:
             assert len(cache.disk) == 0  # nothing written through
 
@@ -100,7 +113,7 @@ class TestLRUCache:
         cache.store("b", v(2))
         assert cache.clear() == 2
         assert len(cache) == 0
-        assert cache.invalidations == 2
+        assert cache.count("invalidations") == 2
         # clear drops the memory tier only; the disk tier is left alone
         expected = v(1) if cache.persistent else None
         assert cache.load("a") == expected

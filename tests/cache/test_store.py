@@ -19,6 +19,7 @@ from repro.crysl import RuleSet, parse_rule
 from repro.crysl.ruleset import check_rule
 from repro.diagnostics import (
     DFA_BUILDS,
+    DISK_EVICTIONS,
     DISK_HITS,
     DISK_MISSES,
     DISK_WRITES,
@@ -91,7 +92,8 @@ class TestStoreAndLoad:
     def test_missing_entry_is_a_clean_miss(self, cache):
         result = cache.load(cache.key("SPEC a.B\nEVENTS\n e: m();"))
         assert result == LoadResult()
-        assert not cache.drain_events()
+        assert not cache.diagnostics.warnings
+        assert not cache.diagnostics.counters
 
     def test_atomic_store_leaves_no_temp_files(self, tmp_path):
         ruleset = _ruleset(tmp_path)
@@ -110,17 +112,18 @@ class TestStoreAndLoad:
         assert not result.hit
         assert result.evicted
         assert not path.exists()
-        (event,) = cache.drain_events()
-        assert event.kind == "evicted"
-        assert "corrupt" in event.message
+        (warning,) = cache.diagnostics.warnings
+        assert "[evicted]" in warning.message
+        assert "corrupt" in warning.message
+        assert cache.diagnostics.counter(DISK_EVICTIONS) == 1
 
     def test_wrong_payload_type_is_evicted(self, cache):
         key = cache.key(RULE_SOURCE)
         cache.path_for(key).write_bytes(pickle.dumps({"not": "artefacts"}))
         result = cache.load(key)
         assert not result.hit and result.evicted
-        (event,) = cache.drain_events()
-        assert "stale" in event.message
+        (warning,) = cache.diagnostics.warnings
+        assert "stale" in warning.message
 
     def test_schema_drift_in_payload_is_evicted(self, tmp_path):
         """Belt-and-braces: even at the *same key*, a recorded schema

@@ -4,8 +4,9 @@ The contract under chaos: a transient ``OSError``/``EOFError`` on a
 cache read or write is retried (:data:`repro.cache.store.IO_ATTEMPTS`
 attempts, doubling backoff), a *persistent* one degrades — a failed
 load becomes a miss/eviction and a failed store returns ``False`` —
-and every failed attempt is counted in ``io_errors`` plus a structured
-``io-error`` event. Nothing here ever raises into the request path.
+and every failed attempt is counted as ``disk__io_errors(cache)`` in the
+store's diagnostics plus an ``io-error`` warning. Nothing here ever
+raises into the request path.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ import pytest
 from repro import faults
 from repro.cache import CachedArtefacts, DiskRuleCache
 from repro.cache.store import IO_ATTEMPTS
+from repro.diagnostics import DISK_IO_ERRORS
+
+
+def _io_errors(cache) -> int:
+    return cache.diagnostics.counter(DISK_IO_ERRORS)
+
+
+def _warning_kinds(cache) -> list[str]:
+    """The ``[kind]`` tag of each of the store's warnings."""
+    return [
+        w.message.split("[", 1)[1].split("]", 1)[0]
+        for w in cache.diagnostics.warnings
+    ]
 
 
 @pytest.fixture(autouse=True)
@@ -66,16 +80,15 @@ class TestReadRetries:
         flaky = _FlakyPath(b"payload", fail_times=IO_ATTEMPTS - 1)
         assert cache._read_with_retries(flaky) == b"payload"
         assert flaky.calls == IO_ATTEMPTS
-        assert cache.io_errors == IO_ATTEMPTS - 1
-        events = cache.drain_events()
-        assert all(event.kind == "io-error" for event in events)
+        assert _io_errors(cache) == IO_ATTEMPTS - 1
+        assert _warning_kinds(cache) == ["io-error"] * (IO_ATTEMPTS - 1)
 
     def test_missing_file_is_a_miss_not_a_flake(self, cache):
         # FileNotFoundError must not burn retry attempts or count as
         # an I/O error — it is the ordinary cache-miss path.
         result = cache.load(cache.key("SPEC x.Nothing\n"))
         assert not result.hit
-        assert cache.io_errors == 0
+        assert _io_errors(cache) == 0
 
     def test_persistent_read_failure_degrades_to_eviction(self, cache):
         key = cache.key("SPEC x.Digest\n")
@@ -83,7 +96,7 @@ class TestReadRetries:
         faults.configure("disk_io:1.0")
         result = cache.load(key)  # never raises into the caller
         assert not result.hit
-        assert cache.io_errors == IO_ATTEMPTS
+        assert _io_errors(cache) == IO_ATTEMPTS
         faults.reset()
         # The entry was evicted; a clean retry recomputes from nothing.
         assert not cache.load(key).hit
@@ -99,7 +112,7 @@ class TestWriteRetries:
         faults.configure(faults.FaultPlan({"disk_io": 0.5}, seed=1))
         key = cache.key("SPEC x.Digest\n")
         assert cache.store(key, _artefacts(cache)) is True
-        assert cache.io_errors == 1
+        assert _io_errors(cache) == 1
         faults.reset()
         assert cache.load(key).hit
 
@@ -107,8 +120,8 @@ class TestWriteRetries:
         faults.configure("disk_io:1.0")
         key = cache.key("SPEC x.Digest\n")
         assert cache.store(key, _artefacts(cache)) is False
-        assert cache.io_errors == IO_ATTEMPTS
-        kinds = [event.kind for event in cache.drain_events()]
+        assert _io_errors(cache) == IO_ATTEMPTS
+        kinds = _warning_kinds(cache)
         assert kinds.count("io-error") == IO_ATTEMPTS
         assert "write-failed" in kinds
         faults.reset()

@@ -83,7 +83,7 @@ class TestSingleFlight:
             )
         assert all(r.ok and r.cached and r.dfa_builds == 0 for r in results)
         assert engine.ruleset.diagnostics.counter(DFA_BUILDS) == builds_before
-        assert engine.result_cache.hits >= THREADS
+        assert engine.result_cache.count("hits") >= THREADS
         engine.close()
 
 

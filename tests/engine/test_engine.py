@@ -337,7 +337,7 @@ class TestRepositoryBackedEngine:
         assert held > 0 and len(engine.result_cache) > 0
         report = engine.refresh_rules()
         assert report.dirty
-        assert engine.summary_cache.invalidations > 0
+        assert engine.summary_cache.count("invalidations") > 0
         # one policy: a dirty refresh clears both memo caches
         assert len(engine.result_cache) == len(engine.summary_cache) == 0
         assert engine.diagnostics.counter(SUMMARY_INVALIDATIONS) == held

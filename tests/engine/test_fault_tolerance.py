@@ -29,6 +29,10 @@ import pytest
 from repro import faults, workers
 from repro.crysl import RuleSet
 from repro.diagnostics import (
+    BREAKER_OPENS,
+    BREAKER_RESETS,
+    DISK_IO_ERRORS,
+    MAX_WARNINGS,
     SUPERVISOR_BATCHES,
     SUPERVISOR_DEGRADED,
     SUPERVISOR_RECYCLES,
@@ -37,6 +41,7 @@ from repro.diagnostics import (
     Diagnostics,
 )
 from repro.engine import (
+    AnalyzeRequest,
     BreakerConfig,
     BreakerRegistry,
     CircuitOpenError,
@@ -565,6 +570,17 @@ class TestBreakerRegistry:
         assert snapshot["by_state"]["open"] == 1
         assert snapshot["open"][0]["op"] == "generate"
 
+    def test_trips_outlive_the_registry_bound(self):
+        registry = BreakerRegistry(
+            BreakerConfig(failure_threshold=1, max_breakers=2)
+        )
+        for n in range(5):
+            registry.record_failure(("generate", f"fingerprint-{n}"))
+        snapshot = registry.to_dict()
+        assert snapshot["tracked"] == 2
+        assert snapshot["trips"] == registry.diagnostics.counter(BREAKER_OPENS)
+        assert snapshot["trips"] == 5
+
 
 # ---------------------------------------------------------------------------
 # circuit breakers through the engine (the acceptance shape)
@@ -671,6 +687,38 @@ class TestEngineBreakers:
             )
             assert retried.error is not None
             assert retried.error.type != "CircuitOpenError"
+        finally:
+            engine.close()
+
+    def test_breaker_counts_have_one_source(self, tmp_path):
+        """Two inputs trip, then a refresh drops their breakers: the
+        ``stats`` block still reports both trips and the reset, from the
+        same counters ``stats.diagnostics`` shows."""
+        import shutil
+
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        for path in sorted(Path("src/repro/rules").glob("*.crysl")):
+            shutil.copy(path, rules / path.name)
+        engine = CryptoGenEngine(
+            rules_dir=rules,
+            breaker_config=BreakerConfig(
+                failure_threshold=1, cooldown_seconds=600.0
+            ),
+        )
+        server = EngineServer(engine)
+        try:
+            for tag in ("a", "b"):
+                result = engine.generate(
+                    GenerateRequest(source=f"{BAD_SOURCE} {tag}", name="bad.py")
+                )
+                assert result.error is not None
+            engine.refresh_rules()
+            stats = server.handle_line(json.dumps({"op": "stats"}))
+            counters = stats["diagnostics"]["counters"]
+            assert stats["breakers"]["tracked"] == 0
+            assert stats["breakers"]["trips"] == counters[BREAKER_OPENS] == 2
+            assert stats["breakers"]["resets"] == counters[BREAKER_RESETS] == 1
         finally:
             engine.close()
 
@@ -902,6 +950,73 @@ class TestHealthOp:
         assert "admission" in response
         assert "breakers" in response
         assert response["degraded"] is False
+
+    def test_result_cache_counts_have_one_source(self):
+        server = EngineServer(CryptoGenEngine())
+        for n in range(3):
+            server.handle_line(
+                json.dumps({"id": n, "op": "generate", "template": TEMPLATE})
+            )
+        stats = server.handle_line(json.dumps({"op": "stats"}))
+        counters = stats["diagnostics"]["counters"]
+        for field in ("hits", "misses"):
+            assert (
+                stats["result_cache"][field]
+                == counters[f"result_cache.{field}"]
+            ), field
+        assert stats["result_cache"]["hits"] == 2
+        assert stats["result_cache"]["misses"] == 1
+
+    def test_disk_io_errors_have_one_source(self, tmp_path):
+        engine = CryptoGenEngine(cache_dir=tmp_path / "cache")
+        try:
+            faults.configure("disk_io:0.5,seed=1")
+            engine.generate(GenerateRequest(template=TEMPLATE))
+            faults.reset()
+            health = engine.health(probe=False)
+            store = engine.ruleset.disk_cache.diagnostics
+            assert health["disk_cache"]["io_errors"] > 0
+            assert (
+                health["disk_cache"]["io_errors"]
+                == store.counter(DISK_IO_ERRORS)
+            )
+        finally:
+            engine.close()
+
+
+class TestBoundedDiskStores:
+    def test_analyze_traffic_under_disk_faults_stays_bounded(self, tmp_path):
+        """300 analyze requests, each missing every summary, over a disk
+        that fails 30% of I/O: the engine keeps at most MAX_WARNINGS
+        warnings, the I/O errors are counted, and no store holds a
+        list that grows with traffic."""
+        engine = CryptoGenEngine(cache_dir=tmp_path / "cache")
+        try:
+            faults.configure("disk_io:0.3,seed=1")
+            for n in range(300):
+                sources = {
+                    **ANALYZE_SOURCES,
+                    "helpers.py": f"def make_iv():\n    return b'{n}' * 16\n",
+                }
+                result = engine.analyze(AnalyzeRequest(sources=sources))
+                assert result.ok
+            faults.reset()
+            diagnostics = engine.diagnostics
+            assert len(diagnostics.warnings) <= MAX_WARNINGS
+            assert diagnostics.warnings_dropped > 0
+            assert diagnostics.counter("summary_store.io_errors") > 0
+            summary_store = engine.summary_cache.disk
+            for store in (summary_store, engine.ruleset.disk_cache):
+                assert not any(
+                    isinstance(value, list) for value in vars(store).values()
+                )
+                assert len(store.diagnostics.warnings) <= MAX_WARNINGS
+            assert (
+                summary_store.diagnostics.counter("summary_store.io_errors")
+                == diagnostics.counter("summary_store.io_errors")
+            )
+        finally:
+            engine.close()
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class TestSummaryCacheStore:
         cache.store("c", entry("m:c"))  # evicts b
         assert cache.load("b") is None
         assert cache.load("a") is not None
-        assert cache.evictions == 1
+        assert cache.count("evictions") == 1
 
     def test_clear(self, tmp_path):
         cache = SummaryCache()
@@ -155,7 +155,7 @@ class TestSummaryCacheStore:
         persistent.store("a", entry())
         assert persistent.clear() == 1
         assert persistent.load("a") is not None
-        assert persistent.disk_hits == 1
+        assert persistent.count("disk_hits") == 1
 
     def test_disk_tier_round_trip(self, tmp_path):
         finding = Finding(
@@ -174,10 +174,10 @@ class TestSummaryCacheStore:
         assert loaded is not None
         assert loaded.findings == (finding,)
         assert loaded.tracked_objects == 2
-        assert second.disk_hits == 1
+        assert second.count("disk_hits") == 1
         # and the entry is now promoted to memory
         second.load("k")
-        assert second.disk_hits == 1
+        assert second.count("disk_hits") == 1
 
     def test_corrupt_disk_entry_is_evicted_not_surfaced(self, tmp_path):
         cache = SummaryCache(tmp_path / "summaries")
@@ -187,6 +187,23 @@ class TestSummaryCacheStore:
         fresh = SummaryCache(tmp_path / "summaries")
         assert fresh.load("k") is None
         assert not path.exists()
+
+    def test_corrupt_loads_keep_no_per_event_state(self, tmp_path):
+        """A thousand evictions leave fixed-size state: counts, and a
+        warning ring bounded by MAX_WARNINGS — no event journal."""
+        from repro.diagnostics import MAX_WARNINGS
+
+        cache = SummaryCache(tmp_path / "summaries")
+        path = cache.disk.path_for("k")
+        for _ in range(1000):
+            path.write_bytes(b"not a pickle")
+            assert cache.load("k") is None
+        store = cache.disk
+        assert store.diagnostics.counter("summary_store.evictions") == 1000
+        assert len(store.diagnostics.warnings) == MAX_WARNINGS
+        assert store.diagnostics.warnings_dropped == 1000 - MAX_WARNINGS
+        assert not any(isinstance(v, list) for v in vars(store).values())
+        assert cache.count("misses") == 1000
 
     def test_schema_drift_on_disk_misses(self, tmp_path):
         cache = SummaryCache(tmp_path / "summaries")

@@ -170,3 +170,23 @@ def test_warnings_are_a_bounded_ring_buffer():
     assert messages[-1] == f"fallback {MAX_WARNINGS + 4}"
     assert cumulative.to_dict()["warnings_dropped"] == 6
     assert "6 older warning(s) dropped" in cumulative.render()
+
+
+def test_attributed_counts_and_warnings_reach_every_recording():
+    owner = Diagnostics()
+    with Diagnostics().recording() as request:
+        with Diagnostics().recording() as run:
+            owner.count_attributed("disk_cache.io_errors")
+            owner.warn_attributed("cache", "disk cache [io-error] k")
+    owner.count_attributed("disk_cache.io_errors")  # nobody recording
+    owner.warn_attributed("cache", "outside")
+    assert owner.counter("disk_cache.io_errors") == 2
+    assert [w.message for w in owner.warnings] == [
+        "disk cache [io-error] k",
+        "outside",
+    ]
+    for record in (request, run):
+        assert record.counters == {"disk_cache.io_errors": 1}
+        assert [str(w) for w in record.warnings] == [
+            "[cache] disk cache [io-error] k"
+        ]
