@@ -16,8 +16,9 @@ Attach a store to a rule set and every consumer of that set benefits::
     rules.attach_disk_cache(DiskRuleCache("~/.cache/cognicrypt-gen"))
 
 The CLI does exactly this by default (``--cache-dir`` / ``--no-cache``),
-and the parallel batch engine (``generate_many(jobs=N)``) warm-starts
-each worker process from the same store.
+and the engine's resident worker pool (``CryptoGenEngine.generate_many``
+and ``analyze`` at ``jobs > 1``) warm-starts each worker process from
+the same store.
 
 :class:`LRUCache` is the one bounded in-memory memo of the repo. The
 engine's generate-result cache uses it memory-only; the per-function

@@ -29,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from .codegen import TargetProject, resolve_jobs
+from .codegen import TargetProject
 from .crysl import CrySLError, RuleSet, bundled_ruleset
 from .engine import (
     AnalyzeRequest,
@@ -144,11 +144,17 @@ def _print_module(
         print(module.diagnostics.render())
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise _CLIError(f"--jobs must be a positive integer, got {args.jobs}")
+    return args.jobs
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     # One engine — and therefore one warm rule set and one cumulative
     # diagnostics record — serves every template on the command line;
     # rules compile once (or load from the persistent cache).
-    jobs = resolve_jobs(args.jobs)
+    jobs = _jobs(args)
     with _build_engine(args) as engine:
         results = engine.generate_many(args.templates, jobs=jobs)
         project = TargetProject(args.output)
@@ -197,6 +203,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise _CLIError("--json and --sarif are mutually exclusive")
     if args.update_baseline and not args.baseline:
         raise _CLIError("--update-baseline requires --baseline FILE")
+    jobs = _jobs(args)
     paths = expand_analyze_paths(args.paths)
     if not paths:
         raise _CLIError("no Python files to analyze")
@@ -205,7 +212,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         result = engine.analyze(
             AnalyzeRequest(
                 paths=tuple(str(p) for p in paths),
-                jobs=resolve_jobs(args.jobs),
+                jobs=jobs,
             )
         )
     if result.error is not None:
@@ -384,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes for the batch (default: $REPRO_JOBS, else 1)",
+        help="run the templates' pipelines on N worker processes, at most "
+        "one per CPU (default: 1, in-process); the output is the same",
     )
     generate.add_argument(
         "--cache-dir",
@@ -435,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes for project analysis "
-        "(default: $REPRO_JOBS, else 1)",
+        help="analyze independent module groups on N worker processes, at "
+        "most one per CPU (default: 1, in-process); the output is the same",
     )
     analyze.add_argument(
         "--stats",
@@ -613,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (_CLIError, ValueError) as exc:
-        # ValueError covers bad --jobs / $REPRO_JOBS values.
+        # ValueError covers bad configuration values (e.g. a fault spec).
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,6 @@ from .generator import (
     VerificationError,
 )
 from .naming import NameAllocator
-from .parallel import BatchGenerationError, TemplateFailure, resolve_jobs
 from .project import TargetProject
 from .selector import ChainPlan, GenerationError, InstancePlan, select
 from .shorthand import FLUENT_ALIASES, JCA, RULE_CONSTANTS
@@ -29,7 +28,6 @@ from .template import (
 )
 
 __all__ = [
-    "BatchGenerationError",
     "ChainEmitter",
     "ChainPlan",
     "ChainReport",
@@ -49,9 +47,7 @@ __all__ = [
     "PushedParameter",
     "TargetProject",
     "TemplateError",
-    "TemplateFailure",
     "VerificationError",
-    "resolve_jobs",
     "TemplateModel",
     "parse_template_file",
     "parse_template_source",

@@ -10,8 +10,8 @@ select → resolve → emit) share:
   artefact store (``cache_dir`` — see :mod:`repro.cache`).
 
 A context is *warm state*: it lives as long as its generator, and
-repeated generation through the same context — ``generate_many``, the
-CLI's multi-template mode, the eval harness — pays rule compilation
+repeated generation through the same context — an engine's batches,
+the CLI's multi-template mode, the eval harness — pays rule compilation
 exactly once. Each :meth:`run` yields a fresh per-run
 :class:`~repro.diagnostics.Diagnostics` that records the rule set's
 compile-cache counts while the run lasts, and on exit merges it into

@@ -8,10 +8,10 @@ hits/misses), per-rule path counts, and structured warnings.
 
 One :class:`Diagnostics` instance records one generation run; the
 :class:`~repro.codegen.context.GenerationContext` merges every run into
-a cumulative instance so batch drivers (``generate_many``, the eval
-harness) can report totals. ``cognicrypt-gen generate --stats`` prints
-:meth:`Diagnostics.render`; ``GeneratedModule.report_dict()`` embeds
-:meth:`Diagnostics.to_dict`.
+a cumulative instance so batch callers (the engine's
+``generate_many``, the eval harness) can report totals.
+``cognicrypt-gen generate --stats`` prints :meth:`Diagnostics.render`;
+``GeneratedModule.report_dict()`` embeds :meth:`Diagnostics.to_dict`.
 
 It is the one counter store: rule compilation, the memo caches, the
 disk stores, the breakers, the pool supervisor and the serve daemon
@@ -102,6 +102,7 @@ SUMMARY_INVALIDATIONS = "summary_cache.invalidations"
 #: the serve daemon (repro.engine.server) counts load-shed and overload
 #: rejections, deadline timeouts and accept-loop fd exhaustion events.
 DISK_IO_ERRORS = "disk_cache.io_errors"
+SUMMARY_STORE_IO_ERRORS = "summary_store.io_errors"
 SUPERVISOR_BATCHES = "supervisor.batches"
 SUPERVISOR_RESTARTS = "supervisor.restarts"
 SUPERVISOR_RETRIES = "supervisor.retries"

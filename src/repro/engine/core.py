@@ -8,21 +8,29 @@ state the one-shot CLI used to rebuild per invocation:
   :class:`~repro.crysl.repository.RuleRepository` over a directory;
 * one :class:`~repro.cache.DiskRuleCache` (optional);
 * one warm :class:`~repro.workers.SupervisedWorkerPool` (created on
-  the first parallel request, reused by every later one);
+  the first parallel request, reused by every later one; its size is
+  the request's ``jobs``, clamped to the CPU count);
 * one cumulative :class:`~repro.diagnostics.Diagnostics`, shared by
   the generation context, the project analyzer, the pool supervisor
   and the serve daemon, so every counter covers the engine's lifetime
   (the rule set's own record holds its compile counts).
 
-Every caller — the CLI, ``generate_many``, the ``serve`` daemon, the
-eval harness — goes through the same two dataclasses:
-:class:`GenerateRequest` and :class:`AnalyzeRequest`. Requests never
-raise for recoverable pipeline errors; they return a
-:class:`GenerateResult`/:class:`AnalyzeResult` carrying either the
-artefact or a structured :class:`EngineError`, plus the request's
-:class:`~repro.trace.Trace` (span tree over codegen, sast and cache
-layers) and the DFA builds it caused, so one request's cost is
-attributable end to end. Unexpected exceptions still propagate.
+Every caller — the CLI, the ``serve`` daemon, the eval harness — goes
+through the same two dataclasses: :class:`GenerateRequest` and
+:class:`AnalyzeRequest`. Requests never raise for recoverable pipeline
+errors; they return a :class:`GenerateResult`/:class:`AnalyzeResult`
+carrying either the artefact or a structured :class:`EngineError`,
+plus the request's :class:`~repro.trace.Trace` (span tree over codegen,
+sast and cache layers) and the DFA builds it caused, so one request's
+cost is attributable end to end. Unexpected exceptions still propagate.
+
+:meth:`CryptoGenEngine.generate_many` is the one batch API: every
+template of a batch is one generate request — one read of the file,
+result-cache lookup, breaker admit, pipeline, breaker record and cache
+store — and ``jobs`` only decides whether each pipeline step runs
+in-process or as a task on the resident pool. A result's
+``dfa_builds`` is what its own run caused, wherever it ran; a pool
+worker's warm-start counts go to the first result it returns.
 
 The engine is thread-safe: many threads (the serve daemon's shared
 worker pool) may issue ``generate``/``analyze`` concurrently. Request
@@ -41,34 +49,40 @@ worker pool).
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .. import faults
 from ..codegen import (
-    BatchGenerationError,
     CrySLBasedCodeGenerator,
     GeneratedModule,
     GenerationContext,
     GenerationError,
-    TemplateError,
 )
 from ..cache.lru import LRUCache
 from ..cache.store import SCHEMA_VERSION
-from ..codegen.parallel import run_batch
-from ..crysl import CrySLError, RuleRepository, RuleSet, bundled_ruleset
+from ..crysl import RuleRepository, RuleSet, bundled_ruleset
 from ..crysl.repository import RefreshReport
 from ..diagnostics import (
     DFA_BUILDS,
     DISK_IO_ERRORS,
+    SUMMARY_STORE_IO_ERRORS,
     Diagnostics,
     register_stage,
 )
 from ..sast.summary_cache import SummaryCache
 from ..trace import Trace, activate as activate_trace
-from ..workers import SupervisedWorkerPool, SupervisorConfig
+from ..workers import (
+    RECOVERABLE_ERRORS,
+    SOURCE,
+    SupervisedWorkerPool,
+    SupervisorConfig,
+    TaskOutcome,
+)
 from .breaker import BreakerConfig, BreakerRegistry, CircuitOpenError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -113,18 +127,9 @@ class EngineRequestError(ValueError):
     """A malformed request (missing/conflicting fields)."""
 
 
-#: Error types a request converts into a structured EngineError rather
-#: than letting propagate; mirrors the CLI's historical per-template
-#: handling, plus SyntaxError for analysis targets that fail to parse
-#: and EngineRequestError for malformed requests.
-RECOVERABLE_ERRORS = (
-    GenerationError,
-    CrySLError,
-    TemplateError,
-    OSError,
-    SyntaxError,
-    EngineRequestError,
-)
+#: What a request turns into a structured EngineError: the recoverable
+#: errors a pool task catches too, plus malformed requests.
+REQUEST_ERRORS = RECOVERABLE_ERRORS + (EngineRequestError,)
 
 
 @dataclass(frozen=True)
@@ -260,6 +265,22 @@ def _decode_template(data: bytes) -> str:
     """Template bytes as ``Path.read_text(encoding="utf-8")`` reads them:
     strict UTF-8, universal newlines."""
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _engine_error(exc: BaseException) -> EngineError:
+    return EngineError(type(exc).__name__, str(exc))
+
+
+@dataclass(frozen=True)
+class _Admitted:
+    """A generate request past its result-cache lookup and its breaker."""
+
+    request_id: str
+    request: GenerateRequest
+    #: the template bytes, or the ``OSError`` reading them raised
+    payload: bytes | OSError | None
+    key: ResultKey | None
+    breaker_key: tuple[str, str] | None
 
 
 def expand_analyze_paths(entries: Iterable[str | Path]) -> list[Path]:
@@ -421,11 +442,16 @@ class CryptoGenEngine:
     def pool(self, jobs: int) -> SupervisedWorkerPool:
         """The supervised warm worker pool, (re)created when ``jobs`` grows.
 
+        ``jobs`` is clamped to the CPU count here, for every caller, so
+        no request sizes the pool beyond the machine. Building the pool
+        starts no process; its first batch does.
+
         Supervision means batches never see a raw ``BrokenProcessPool``:
         worker death restarts the pool (bounded backoff + jitter) and
         resubmits the batch; an exhausted restart budget degrades the
         batch to in-process serial execution (see :mod:`repro.workers`).
         """
+        jobs = min(jobs, os.cpu_count() or 1)
         if self._pool is not None and self._pool.jobs < jobs:
             self._close_pool()
         if self._pool is None:
@@ -555,15 +581,10 @@ class CryptoGenEngine:
             error=error,
         )
 
-    def generate(self, request: GenerateRequest) -> GenerateResult:
-        """Serve one generation request; recoverable errors are data.
-
-        Two fault-tolerance layers gate the pipeline: the result cache
-        answers repeats for free, and the input's circuit breaker
-        rejects known-poisoned templates fast (``CircuitOpenError`` as
-        a structured retryable error) instead of burning a worker on
-        every arrival.
-        """
+    def _admit(self, request: GenerateRequest) -> "GenerateResult | _Admitted":
+        """A generate request's steps before its pipeline: one read of
+        the template, the result-cache lookup and the breaker admit. A
+        cache hit or an open breaker is already the result."""
         request_id = self._next_request_id(request.request_id)
         payload = self._payload(request)
         readable = isinstance(payload, bytes)
@@ -588,62 +609,113 @@ class CryptoGenEngine:
                 self.breakers.admit(breaker_key)
             except CircuitOpenError as exc:
                 return self._circuit_open_result(request_id, "generate", exc)
-        trace = Trace(request_id)
-        module: GeneratedModule | None = None
-        error: EngineError | None = None
+        return _Admitted(request_id, request, payload, key, breaker_key)
+
+    def _pipeline_input(self, item: "_Admitted") -> tuple[str, str, bool]:
+        """The ``(text, name, verify)`` an admitted request's pipeline
+        step runs on. Raises what that step would for an unreadable
+        template or an empty request, in-process or not."""
+        faults.maybe_raise(
+            "compile_error", GenerationError("injected compile fault")
+        )
+        request = item.request
+        verify = self._verify if request.verify is None else request.verify
+        if request.source is not None:
+            return request.source, request.name or "<template>", verify
+        if isinstance(item.payload, OSError):
+            raise item.payload
+        if item.payload is None:
+            raise EngineRequestError(
+                "generate request needs a template path or source"
+            )
+        text = _decode_template(item.payload)
+        return text, str(Path(request.template)), verify
+
+    @contextmanager
+    def _breaker_guard(
+        self, keys: "Iterable[tuple[str, str] | None]"
+    ) -> Iterator[None]:
+        """Unexpected exceptions propagate — but they burned a worker,
+        so they count against each input's breaker (and release a
+        pending half-open probe slot)."""
         try:
-            with activate_trace(trace), trace.span("request:generate"):
-                with Diagnostics().recording() as delta:
-                    try:
-                        faults.maybe_raise(
-                            "compile_error",
-                            GenerationError("injected compile fault"),
-                        )
-                        if request.source is not None:
-                            module = self._generator.generate_from_source(
-                                request.source,
-                                request.name or "<template>",
-                                verify=request.verify,
-                            )
-                        elif isinstance(payload, OSError):
-                            raise payload
-                        elif payload is not None:
-                            module = self._generator.generate_from_source(
-                                _decode_template(payload),
-                                str(Path(request.template)),
-                                verify=request.verify,
-                            )
-                        else:
-                            raise EngineRequestError(
-                                "generate request needs a template path or "
-                                "source"
-                            )
-                    except RECOVERABLE_ERRORS as exc:
-                        error = EngineError(type(exc).__name__, str(exc))
+            yield
         except BaseException:
-            # Unexpected exceptions propagate — but they burned a
-            # worker, so they count against the input's breaker (and
-            # release a pending half-open probe slot).
-            if breaker_key is not None:
-                self.breakers.record_failure(breaker_key)
+            for key in keys:
+                if key is not None:
+                    self.breakers.record_failure(key)
             raise
-        if breaker_key is not None:
-            if error is None:
-                self.breakers.record_success(breaker_key)
-            else:
-                self.breakers.record_failure(breaker_key)
+
+    def _settle(
+        self, key: tuple[str, str] | None, error: EngineError | None
+    ) -> None:
+        """Record a finished request's outcome on its input's breaker."""
+        if key is None:
+            return
+        if error is None:
+            self.breakers.record_success(key)
+        else:
+            self.breakers.record_failure(key)
+
+    def _finish(
+        self,
+        item: "_Admitted",
+        trace: Trace,
+        module: GeneratedModule | None,
+        error: EngineError | None,
+        dfa_builds: int,
+        elapsed_seconds: float,
+    ) -> GenerateResult:
+        """A generate request's steps after its pipeline: the breaker
+        record and the result-cache store (errors are never cached)."""
+        self._settle(item.breaker_key, error)
         if module is not None:
             module.diagnostics.trace = trace
-            if key is not None and error is None:
-                self.result_cache.store(key, module)
+            if item.key is not None:
+                self.result_cache.store(item.key, module)
         self._count_request()
         return GenerateResult(
-            request_id=request_id,
-            elapsed_seconds=trace.total_seconds,
+            request_id=item.request_id,
+            elapsed_seconds=elapsed_seconds,
             trace=trace,
             error=error,
-            dfa_builds=delta.counter(DFA_BUILDS),
+            dfa_builds=dfa_builds,
             module=module,
+        )
+
+    def generate(self, request: GenerateRequest) -> GenerateResult:
+        """Serve one generation request; recoverable errors are data.
+
+        Two fault-tolerance layers gate the pipeline: the result cache
+        answers repeats for free, and the input's circuit breaker
+        rejects known-poisoned templates fast (``CircuitOpenError`` as
+        a structured retryable error) instead of burning a worker on
+        every arrival.
+        """
+        item = self._admit(request)
+        if isinstance(item, GenerateResult):
+            return item
+        trace = Trace(item.request_id)
+        module: GeneratedModule | None = None
+        error: EngineError | None = None
+        with self._breaker_guard([item.breaker_key]), activate_trace(
+            trace
+        ), trace.span("request:generate"):
+            with Diagnostics().recording() as delta:
+                try:
+                    text, name, verify = self._pipeline_input(item)
+                    module = self._generator.generate_from_source(
+                        text, name, verify=verify
+                    )
+                except REQUEST_ERRORS as exc:
+                    error = _engine_error(exc)
+        return self._finish(
+            item,
+            trace,
+            module,
+            error,
+            delta.counter(DFA_BUILDS),
+            trace.total_seconds,
         )
 
     def generate_many(
@@ -653,60 +725,102 @@ class CryptoGenEngine:
         jobs: int = 1,
         verify: bool | None = None,
     ) -> list[GenerateResult]:
-        """A batch of generation requests, optionally over the warm pool.
+        """A batch of generate requests, one result per template, in order.
 
-        Per-template failures become per-result :class:`EngineError`\\ s
-        (order-preserving), never a batch abort.
+        Every template goes through :meth:`generate`'s steps, and its
+        failure is its own result, never a batch abort. ``jobs`` only
+        picks where the pipeline steps run: one after another in this
+        process (``jobs=1``), or as tasks on the resident pool
+        (:meth:`pool`), where the results share one batch trace and are
+        numbered ``<batch id>.<index>``. The results are the same
+        either way.
         """
-        if jobs > 1 and len(templates) > 1:
-            return self._generate_many_parallel(templates, jobs, verify)
-        return [
-            self.generate(GenerateRequest(template=str(t), verify=verify))
-            for t in templates
-        ]
-
-    def _generate_many_parallel(
-        self, templates: Sequence[str | Path], jobs: int, verify: bool | None
-    ) -> list[GenerateResult]:
-        request_id = self._next_request_id(None)
-        trace = Trace(request_id)
-        failures_by_index: dict[int, EngineError] = {}
+        if jobs <= 1 or len(templates) <= 1:
+            return [
+                self.generate(GenerateRequest(template=str(t), verify=verify))
+                for t in templates
+            ]
+        batch_id = self._next_request_id(None)
+        trace = Trace(batch_id)
         with self._batch_lock, activate_trace(trace), trace.span(
             "request:generate-batch"
         ):
-            with Diagnostics().recording() as delta:
-                try:
-                    modules: list[GeneratedModule | None] = list(
-                        run_batch(
-                            self._generator,
-                            templates,
-                            pool=self.pool(jobs),
-                            verify=verify,
-                        )
+            items = [
+                self._admit(
+                    GenerateRequest(
+                        template=str(template),
+                        verify=verify,
+                        request_id=f"{batch_id}.{index}",
                     )
-                except BatchGenerationError as exc:
-                    modules = exc.modules
-                    failures_by_index = {
-                        f.index: EngineError(f.error_type, str(f))
-                        for f in exc.failures
-                    }
-        dfa_builds = delta.counter(DFA_BUILDS)
-        results: list[GenerateResult] = []
-        for index, module in enumerate(modules):
-            self._count_request()
-            results.append(
-                GenerateResult(
-                    request_id=f"{request_id}.{index}",
-                    elapsed_seconds=(
-                        module.elapsed_seconds if module is not None else 0.0
-                    ),
-                    trace=trace,
-                    error=failures_by_index.get(index),
-                    dfa_builds=dfa_builds if index == 0 else 0,
-                    module=module,
                 )
+                for index, template in enumerate(templates)
+            ]
+            pending = [item for item in items if isinstance(item, _Admitted)]
+            with self._breaker_guard([item.breaker_key for item in pending]):
+                outcomes = iter(self._pool_outcomes(pending, jobs))
+        return [
+            item
+            if isinstance(item, GenerateResult)
+            else self._finish_task(item, trace, next(outcomes))
+            for item in items
+        ]
+
+    def _pool_outcomes(
+        self, pending: "list[_Admitted]", jobs: int
+    ) -> list[TaskOutcome]:
+        """The pipeline steps of admitted requests, as pool tasks.
+
+        A step that fails before it has a task (an unreadable template,
+        an injected compile fault) fails here, as it would in-process.
+        """
+        outcomes: list[TaskOutcome | None] = []
+        tasks = []
+        for item in pending:
+            try:
+                tasks.append((SOURCE, *self._pipeline_input(item)))
+                outcomes.append(None)
+            except REQUEST_ERRORS as exc:
+                error = (type(exc).__name__, str(exc))
+                outcomes.append(
+                    TaskOutcome(len(outcomes), None, error, in_process=True)
+                )
+        if tasks:
+            ran = iter(self.pool(jobs).run_tasks(tasks))
+            outcomes = [
+                next(ran) if outcome is None else outcome
+                for outcome in outcomes
+            ]
+        return outcomes
+
+    def _finish_task(
+        self, item: "_Admitted", trace: Trace, outcome: TaskOutcome
+    ) -> GenerateResult:
+        """Finish a request whose pipeline step ran as a task.
+
+        A worker's records are private: its run, and on its first
+        outcome its warm-start counts, are folded into the engine's
+        record here and credited to this result. In-process steps
+        already recorded into the shared context.
+        """
+        module = outcome.module
+        init = outcome.init_counters or {}
+        if not outcome.in_process:
+            self.diagnostics.merge(
+                module.diagnostics
+                if module is not None
+                else Diagnostics(counters=dict(outcome.counters))
             )
-        return results
+            for key, amount in init.items():
+                self.diagnostics.count(key, amount)
+            self.context.runs += 1
+        return self._finish(
+            item,
+            trace,
+            module,
+            EngineError(*outcome.error) if outcome.error else None,
+            outcome.counters.get(DFA_BUILDS, 0) + init.get(DFA_BUILDS, 0),
+            module.elapsed_seconds if module is not None else 0.0,
+        )
 
     def _analyze_fingerprint(self, request: AnalyzeRequest) -> str | None:
         """The analysis target set's breaker identity (path + name based)."""
@@ -733,35 +847,24 @@ class CryptoGenEngine:
         trace = Trace(request_id)
         analysis = None
         error: EngineError | None = None
-        try:
-            with activate_trace(trace), trace.span("request:analyze"):
-                with Diagnostics().recording() as delta:
-                    try:
-                        sources: dict[str, str] = {}
-                        for path in expand_analyze_paths(request.paths):
-                            sources[str(path)] = path.read_text(
-                                encoding="utf-8"
-                            )
-                        if request.sources:
-                            sources.update(request.sources)
-                        if not sources:
-                            raise EngineRequestError(
-                                "analyze request needs paths or sources"
-                            )
-                        analysis = self._analyze_sources(
-                            sources, request.jobs
+        with self._breaker_guard([breaker_key]), activate_trace(
+            trace
+        ), trace.span("request:analyze"):
+            with Diagnostics().recording() as delta:
+                try:
+                    sources: dict[str, str] = {}
+                    for path in expand_analyze_paths(request.paths):
+                        sources[str(path)] = path.read_text(encoding="utf-8")
+                    if request.sources:
+                        sources.update(request.sources)
+                    if not sources:
+                        raise EngineRequestError(
+                            "analyze request needs paths or sources"
                         )
-                    except RECOVERABLE_ERRORS as exc:
-                        error = EngineError(type(exc).__name__, str(exc))
-        except BaseException:
-            if breaker_key is not None:
-                self.breakers.record_failure(breaker_key)
-            raise
-        if breaker_key is not None:
-            if error is None:
-                self.breakers.record_success(breaker_key)
-            else:
-                self.breakers.record_failure(breaker_key)
+                    analysis = self._analyze_sources(sources, request.jobs)
+                except REQUEST_ERRORS as exc:
+                    error = _engine_error(exc)
+        self._settle(breaker_key, error)
         self._count_request()
         return AnalyzeResult(
             request_id=request_id,
@@ -782,9 +885,7 @@ class CryptoGenEngine:
         if jobs <= 1:
             return self.analyzer.analyze_sources(sources)
         with self._batch_lock:
-            return self.analyzer.analyze_sources(
-                sources, jobs=jobs, pool=self.pool(jobs)
-            )
+            return self.analyzer.analyze_sources(sources, pool=self.pool(jobs))
 
     # ------------------------------------------------------------------
     # the incremental rule repository
@@ -838,17 +939,23 @@ class CryptoGenEngine:
             pool.probe()
         pool_stats = pool.to_dict() if pool is not None else None
         degraded = bool(pool is not None and pool.degraded)
-        disk_cache = (
-            {"io_errors": self._cache.diagnostics.counter(DISK_IO_ERRORS)}
-            if self._cache is not None
-            else None
-        )
+        # Each disk store's absorbed I/O failures, from its own record.
+        disk_cache = {}
+        if self._cache is not None:
+            disk_cache["io_errors"] = self._cache.diagnostics.counter(
+                DISK_IO_ERRORS
+            )
+        summary_store = self.summary_cache.disk
+        if summary_store is not None:
+            disk_cache[SUMMARY_STORE_IO_ERRORS] = (
+                summary_store.diagnostics.counter(SUMMARY_STORE_IO_ERRORS)
+            )
         return {
             "state": "degraded" if degraded else "healthy",
             "degraded": degraded,
             "pool": pool_stats,
             "breakers": self.breakers.to_dict(),
-            "disk_cache": disk_cache,
+            "disk_cache": disk_cache or None,
             "requests": self.requests,
         }
 

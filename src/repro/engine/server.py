@@ -172,12 +172,12 @@ class _ProtocolError(Exception):
 
 
 def _request_jobs(request: dict) -> int:
-    """A request's ``jobs``: a positive int, clamped to the CPU count so
-    a client cannot size the resident process pool beyond the machine."""
+    """A request's ``jobs``: a positive int (the engine clamps it to the
+    CPU count when it sizes its pool)."""
     jobs = request.get("jobs", 1)
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise _ProtocolError(f"'jobs' must be a positive integer, got {jobs!r}")
-    return min(jobs, os.cpu_count() or 1)
+    return jobs
 
 
 def _error_response(

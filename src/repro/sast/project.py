@@ -8,22 +8,22 @@ generator emits — and analyzes functions callees-first so each call
 site can replay its callee's :class:`~repro.sast.summaries.
 FunctionSummary` instead of waiving the call.
 
-Parallel analysis (``jobs=N``) partitions the project into connected
-components of the module-dependency graph (modules that define or
-reference a shared top-level name always land in the same component),
-so every worker sees exactly the resolution candidates the serial
-analysis would — findings are byte-identical to the serial path and
-land in deterministic order. Each component is one task on the
-supervised worker pool of :mod:`repro.workers` — the same warm,
-forkserver-backed pool that batch generation uses.
+Parallel analysis (``pool=``, the engine's resident pool for a
+``jobs > 1`` request) partitions the project into connected components
+of the module-dependency graph (modules that define or reference a
+shared top-level name always land in the same component), so every
+worker sees exactly the resolution candidates the serial analysis
+would — findings are byte-identical to the serial path and land in
+deterministic order. Each component is one task on the supervised
+worker pool of :mod:`repro.workers` — the same warm, forkserver-backed
+pool that batch generation uses.
 """
 
 from __future__ import annotations
 
 import ast as pyast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..diagnostics import (
     ANALYSIS_CALL_EDGES,
@@ -149,41 +149,22 @@ class ProjectAnalyzer:
     def analyze_sources(
         self,
         sources: Mapping[str, str],
-        jobs: int = 1,
         pool: "SupervisedWorkerPool | None" = None,
     ) -> ProjectAnalysisResult:
         """Analyze a ``{module key: source text}`` mapping as one project.
 
-        With ``jobs > 1`` or a ``pool`` (a
-        :class:`~repro.workers.SupervisedWorkerPool` over the same rule
-        set), independent module components run as tasks on that pool,
-        else on a transient supervised pool of ``jobs`` workers.
+        With a ``pool`` (a :class:`~repro.workers.SupervisedWorkerPool`
+        over the same rule set), independent module components run as
+        tasks on that pool.
         """
         sources = dict(sources)
-        if (jobs > 1 or pool is not None) and len(sources) > 1:
+        if pool is not None and len(sources) > 1:
             components = _components(sources)
             if len(components) > 1:
-                return self._analyze_parallel(sources, components, jobs, pool)
+                return self._analyze_parallel(sources, components, pool)
         result, run_diag = self._analyze_serial(sources)
         self.diagnostics.merge(run_diag)
         return result
-
-    def analyze_paths(
-        self, paths: Iterable[str | Path], jobs: int = 1
-    ) -> ProjectAnalysisResult:
-        """Analyze a set of files as one project (keys = file paths)."""
-        sources = {
-            str(path): Path(path).read_text(encoding="utf-8") for path in paths
-        }
-        return self.analyze_sources(sources, jobs=jobs)
-
-    def analyze_directory(
-        self, directory: str | Path, jobs: int = 1
-    ) -> ProjectAnalysisResult:
-        """Analyze every ``*.py`` file under a directory, recursively."""
-        root = Path(directory)
-        paths = sorted(p for p in root.rglob("*.py") if p.is_file())
-        return self.analyze_paths(paths, jobs=jobs)
 
     # ------------------------------------------------------------------
     # the serial core
@@ -317,41 +298,25 @@ class ProjectAnalyzer:
         self,
         sources: dict[str, str],
         components: list[dict[str, str]],
-        jobs: int,
-        pool: "SupervisedWorkerPool | None",
+        pool: "SupervisedWorkerPool",
     ) -> ProjectAnalysisResult:
-        from ..workers import COMPONENT, SupervisedWorkerPool
+        from ..workers import COMPONENT
 
         directory = self.summary_cache.directory
         summary_dir = str(directory) if directory is not None else None
-        tasks = [
-            (COMPONENT, tuple(component.items()), summary_dir)
-            for component in components
-        ]
-        if pool is not None:
-            outcomes = pool.run_tasks(tasks)
-        else:
-            from ..codegen import CrySLBasedCodeGenerator, GenerationContext
-
-            # A pool is bound to a generator's rule set; this generator
-            # only carries ours.
-            context = GenerationContext(
-                self._analyzer.ruleset, self._analyzer.registry
-            )
-            with SupervisedWorkerPool(
-                CrySLBasedCodeGenerator(context=context),
-                min(jobs, len(tasks)),
-                diagnostics=self.diagnostics,
-            ) as transient:
-                outcomes = transient.run_tasks(tasks)
+        outcomes = pool.run_tasks(
+            [
+                (COMPONENT, tuple(component.items()), summary_dir)
+                for component in components
+            ]
+        )
         modules: dict[str, AnalysisResult] = {}
         run_totals: dict[str, int] = {}
         for outcome in outcomes:
             for key, amount in (outcome.init_counters or {}).items():
                 self.diagnostics.count(key, amount)
-            component_result, counters = outcome.module
-            modules.update(component_result.modules)
-            for key, amount in counters.items():
+            modules.update(outcome.module.modules)
+            for key, amount in outcome.counters.items():
                 self.diagnostics.count(key, amount)
                 run_totals[key] = run_totals.get(key, 0) + amount
         # Reassemble in the original module order regardless of which

@@ -1,22 +1,21 @@
 """One supervised process pool for generation and analysis.
 
-Every parallel path — ``generate_many(jobs=N)``,
-``ProjectAnalyzer.analyze_sources(jobs=N)`` and the engine's batch
-``generate`` and ``jobs > 1`` ``analyze`` requests — runs *tagged
-tasks* on the pool defined here:
+Both parallel paths — the engine's ``generate_many(jobs=N)`` batches
+and its ``jobs > 1`` ``analyze`` requests — run *tagged tasks* on the
+pool defined here:
 
-* a **template task** ``(kind, payload, name, verify)``, ``kind`` being
-  ``"path"`` or ``"source"``;
+* a **template task** ``("source", text, name, verify)``: the pipeline
+  step of one generate request, on template text the engine has
+  already read;
 * a **component task** ``("component", items, summary_dir)``: one
   connected component of a project's module graph
   (:func:`repro.sast.project._components`) as ``(key, source)`` items,
   plus the caller's summary-store directory (``None``: in memory).
 
 Both kinds run through one :class:`TaskRunner` — in a pool worker, or
-in-process for ``jobs=1`` and the supervisor's serial fallback — and
-come back as one :class:`TaskOutcome`. Workers start from
-:func:`pool_mp_context`, never ``fork``. The supervisor's states, as
-reported by ``health``/``stats``::
+in-process for the supervisor's serial fallback — and come back as one
+:class:`TaskOutcome`. Workers start from :func:`pool_mp_context`, never
+``fork``. The supervisor's states, as reported by ``health``/``stats``::
 
     idle ──first batch──▶ running ──BrokenProcessPool──▶ restarting
       ▲                     ▲  │                            │
@@ -37,11 +36,13 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from . import faults
-from .codegen.parallel import RECOVERABLE_ERRORS, TemplateFailure
+from .codegen.selector import GenerationError
+from .codegen.template import TemplateError
+from .crysl import CrySLError
 from .diagnostics import (
     SUPERVISOR_BATCHES,
     SUPERVISOR_DEGRADED,
@@ -58,9 +59,21 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .codegen.generator import CrySLBasedCodeGenerator
     from .crysl.ast import Rule
 
-#: The tag of a component (analysis) task; template tasks are tagged
-#: with their payload kind, ``"path"`` or ``"source"``.
+#: The tags of the two task kinds.
+SOURCE = "source"
 COMPONENT = "component"
+
+#: Error types a request turns into a structured error instead of
+#: letting them propagate: the pipeline's own errors, ``OSError`` for
+#: unreadable inputs and ``SyntaxError`` for Python that does not parse.
+#: A template task catches exactly these, wherever it runs.
+RECOVERABLE_ERRORS = (
+    GenerationError,
+    CrySLError,
+    TemplateError,
+    OSError,
+    SyntaxError,
+)
 
 #: Supervisor states (the wire spelling in ``health``/``stats``).
 IDLE = "idle"
@@ -74,19 +87,23 @@ class TaskOutcome:
 
     ``module`` is a template task's
     :class:`~repro.codegen.generator.GeneratedModule` (``None`` when it
-    failed) or a component task's ``(ProjectAnalysisResult, counters)``.
-    In-process generation already records into the shared context, so
-    its outcomes are flagged ``in_process`` to skip a second merge.
+    failed) or a component task's ``ProjectAnalysisResult``.
     """
 
     index: int
     module: object
-    failure: TemplateFailure | None
+    #: a failed template task's ``(error type name, message)``
+    error: tuple[str, str] | None
+    #: the counts the task caused: for a template task, what its run
+    #: recorded (compile-cache and disk traffic); for a component task,
+    #: its analysis run's counters
+    counters: dict = field(default_factory=dict)
     #: the worker's warm-start counters, on its first outcome only
     init_counters: dict | None = None
     #: the producing worker's peak RSS in MiB (0 for in-process runs)
     rss_mb: float = 0.0
-    #: True when produced in the parent (``jobs=1`` or serial fallback)
+    #: True when produced in the parent (the serial fallback), whose
+    #: generation runs already recorded into the shared context
     in_process: bool = False
 
 
@@ -96,8 +113,8 @@ class TaskRunner:
     Template tasks go through the generator; component tasks through a
     :class:`~repro.sast.ProjectAnalyzer` over the same rule set, built
     on the first component task for each summary directory. Each pool
-    worker holds one runner; the supervisor's serial fallback and
-    ``jobs=1`` batches run the same runner in the parent.
+    worker holds one runner; the supervisor's serial fallback runs the
+    same runner in the parent.
     """
 
     def __init__(self, generator: "CrySLBasedCodeGenerator"):
@@ -105,25 +122,23 @@ class TaskRunner:
         self._analyzers: dict[str | None, ProjectAnalyzer] = {}
 
     def run(self, index: int, task: tuple) -> TaskOutcome:
-        """Run one task; recoverable template errors become failures."""
+        """Run one task; recoverable template errors become data."""
         if task[0] == COMPONENT:
             _, items, summary_dir = task
             result, diag = self._analyzer(summary_dir)._analyze_serial(
                 dict(items)
             )
-            return TaskOutcome(index, (result, dict(diag.counters)), None)
-        kind, payload, name, verify = task
-        module, failure = None, None
-        try:
-            if kind == "path":
-                module = self.generator.generate_from_file(payload, verify=verify)
-            else:
+            return TaskOutcome(index, result, None, dict(diag.counters))
+        _, text, name, verify = task
+        module, error = None, None
+        with Diagnostics().recording() as record:
+            try:
                 module = self.generator.generate_from_source(
-                    payload, name, verify=verify
+                    text, name, verify=verify
                 )
-        except RECOVERABLE_ERRORS as exc:
-            failure = TemplateFailure(index, name, type(exc).__name__, str(exc))
-        return TaskOutcome(index, module, failure)
+            except RECOVERABLE_ERRORS as exc:
+                error = (type(exc).__name__, str(exc))
+        return TaskOutcome(index, module, error, dict(record.counters))
 
     def _analyzer(self, summary_dir: str | None) -> ProjectAnalyzer:
         analyzer = self._analyzers.get(summary_dir)
@@ -140,23 +155,6 @@ class TaskRunner:
             )
             self._analyzers[summary_dir] = analyzer
         return analyzer
-
-
-def run_tasks_serial(
-    runner: TaskRunner, tasks: "Sequence[tuple]"
-) -> list[TaskOutcome]:
-    """Run one batch in the calling process, outcomes flagged ``in_process``.
-
-    The ``jobs=1`` path and the supervisor's degraded fallback: slower
-    than the pool, but immune to worker death (the crash fault point
-    lives in :func:`run_task`, which this never enters).
-    """
-    outcomes = []
-    for index, task in enumerate(tasks):
-        outcome = runner.run(index, task)
-        outcome.in_process = True
-        outcomes.append(outcome)
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +442,7 @@ class SupervisedWorkerPool:
     * **Restart with backoff.** On ``BrokenProcessPool`` the dead
       executor is discarded and a fresh warm pool is built after a
       bounded exponential backoff with jitter.
-    * **Bounded retry.** Tasks are paths or source text — idempotent by
+    * **Bounded retry.** Tasks carry source text — idempotent by
       construction — so the in-flight batch is resubmitted, up to
       :attr:`SupervisorConfig.max_restarts` times per batch.
     * **Recycle before rot.** The pool is rebuilt at a batch boundary
@@ -644,7 +642,14 @@ class SupervisedWorkerPool:
             self._degraded = True
         self.diagnostics.count(SUPERVISOR_DEGRADED)
         trace_event("supervisor:degraded", batch=len(tasks))
-        return run_tasks_serial(self._runner, tasks)
+        # Slower than the pool, but immune to worker death: the crash
+        # fault point lives in run_task, which this never enters.
+        outcomes = []
+        for index, task in enumerate(tasks):
+            outcome = self._runner.run(index, task)
+            outcome.in_process = True
+            outcomes.append(outcome)
+        return outcomes
 
     def _note_batch(self, outcomes: list[TaskOutcome]) -> None:
         """Successful pool batch: account for recycling, clear degrade."""

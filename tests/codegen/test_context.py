@@ -1,4 +1,4 @@
-"""GenerationContext: compiled-rule caching, diagnostics, batch API."""
+"""GenerationContext: compiled-rule caching, diagnostics, warm batches."""
 
 from __future__ import annotations
 
@@ -60,13 +60,13 @@ def test_warm_batch_rebuilds_nothing(cold_context):
     generator = CrySLBasedCodeGenerator(context=cold_context)
     templates = [case.template_path() for case in USE_CASES]
 
-    cold = generator.generate_many(templates)
+    cold = [generator.generate_from_file(t) for t in templates]
     assert len(cold) == len(USE_CASES)
     cold_builds = sum(m.diagnostics.counter(DFA_BUILDS) for m in cold)
     assert cold_builds > 0  # the cold pass really did compile rules
     assert sum(m.diagnostics.counter(PATH_ENUMERATIONS) for m in cold) > 0
 
-    warm = generator.generate_many(templates)
+    warm = [generator.generate_from_file(t) for t in templates]
     for module in warm:
         assert module.diagnostics.counter(DFA_BUILDS) == 0
         assert module.diagnostics.counter(PATH_ENUMERATIONS) == 0

@@ -1,21 +1,13 @@
-"""The parallel batch engine: determinism, error isolation, jobs
-resolution, and worker warm start from the persistent cache."""
+"""Batch generation over worker processes, through the engine's one batch
+API: determinism, error isolation, and worker warm start from the
+persistent cache."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import DiskRuleCache
-from repro.codegen import (
-    BatchGenerationError,
-    CrySLBasedCodeGenerator,
-    GenerationContext,
-    TemplateFailure,
-    resolve_jobs,
-)
-from repro.codegen.parallel import JOBS_ENV
-from repro.crysl import RuleSet
 from repro.diagnostics import DFA_BUILDS, DISK_HITS, PATH_ENUMERATIONS
+from repro.engine import CryptoGenEngine
 from repro.usecases import USE_CASES
 
 
@@ -23,68 +15,55 @@ def _templates():
     return [str(entry.template_path()) for entry in USE_CASES]
 
 
-def _generator(tmp_path):
-    ruleset = RuleSet.bundled().freeze()
-    ruleset.attach_disk_cache(DiskRuleCache(tmp_path / "cache"))
-    return CrySLBasedCodeGenerator(context=GenerationContext(ruleset=ruleset))
+@pytest.fixture
+def engine(tmp_path):
+    """``engine()`` builds a fresh engine over one disk cache; every
+    engine built is closed (its pool stopped) after the test."""
+    built = []
 
+    def build():
+        built.append(CryptoGenEngine(cache_dir=tmp_path / "cache"))
+        return built[-1]
 
-class TestResolveJobs:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert resolve_jobs() == 1
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "8")
-        assert resolve_jobs(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs() == 3
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "two"])
-    def test_bad_values_raise(self, monkeypatch, bad):
-        monkeypatch.setenv(JOBS_ENV, bad)
-        with pytest.raises(ValueError):
-            resolve_jobs()
-
-    def test_explicit_zero_raises(self):
-        with pytest.raises(ValueError):
-            resolve_jobs(0)
+    yield build
+    for made in built:
+        made.close()
 
 
 class TestParallelEquivalence:
-    def test_jobs4_byte_identical_to_serial_across_table1(self, tmp_path):
+    def test_jobs4_byte_identical_to_serial_across_table1(self, engine):
         """The tentpole acceptance check: every Table-1 use case
         generates byte-identically at jobs=1 and jobs=4, in order."""
         templates = _templates()
-        serial = _generator(tmp_path).generate_many(templates)
-        parallel = _generator(tmp_path).generate_many(templates, jobs=4)
+        serial = engine().generate_many(templates)
+        parallel = engine().generate_many(templates, jobs=4)
         assert len(serial) == len(parallel) == len(templates)
         for left, right in zip(serial, parallel):
-            assert left.source == right.source
-            assert left.template_class == right.template_class
+            assert left.module.source == right.module.source
+            assert left.module.template_class == right.module.template_class
 
-    def test_parallel_workers_start_warm_from_disk(self, tmp_path):
+    def test_parallel_workers_start_warm_from_disk(self, engine):
         """With a primed disk cache, workers perform zero DFA builds and
         zero path enumerations — everything loads from the store."""
         templates = _templates()[:4]
-        _generator(tmp_path).generate_many(templates)  # primes the cache
-        generator = _generator(tmp_path)
-        generator.generate_many(templates, jobs=2)
-        counters = generator.context.diagnostics.counters
+        primer = engine()
+        primer.generate_many(templates)
+        primer.close()  # flushes the compiled rules to the store
+        warm = engine()
+        warm.generate_many(templates, jobs=2)
+        counters = warm.diagnostics.counters
         assert counters.get(DFA_BUILDS, 0) == 0
         assert counters.get(PATH_ENUMERATIONS, 0) == 0
         assert counters.get(DISK_HITS, 0) > 0
 
-    def test_parent_accounting_matches_batch_size(self, tmp_path):
+    def test_parent_accounting_matches_batch_size(self, engine):
         templates = _templates()[:3]
-        generator = _generator(tmp_path)
-        generator.generate_many(templates, jobs=2)
-        assert generator.context.runs == len(templates)
+        parallel = engine()
+        parallel.generate_many(templates, jobs=2)
+        assert parallel.context.runs == len(templates)
 
-    def test_empty_batch(self, tmp_path):
-        assert _generator(tmp_path).generate_many([], jobs=4) == []
+    def test_empty_batch(self, engine):
+        assert engine().generate_many([], jobs=4) == []
 
 
 class TestErrorIsolation:
@@ -95,40 +74,35 @@ class TestErrorIsolation:
         return [templates[0], str(bad), templates[1]]
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_one_bad_template_does_not_abort_the_batch(self, tmp_path, jobs):
+    def test_one_bad_template_does_not_abort_the_batch(
+        self, engine, tmp_path, jobs
+    ):
         batch = self._batch_with_bad_template(tmp_path)
-        generator = _generator(tmp_path)
-        with pytest.raises(BatchGenerationError) as excinfo:
-            generator.generate_many(batch, jobs=jobs)
-        error = excinfo.value
-        (failure,) = error.failures
-        assert isinstance(failure, TemplateFailure)
-        assert failure.index == 1
-        assert failure.error_type == "TemplateError"
+        results = engine().generate_many(batch, jobs=jobs)
+        failures = [i for i, result in enumerate(results) if not result.ok]
+        assert failures == [1]
+        assert results[1].error.type == "TemplateError"
         # The other two templates still generated, at their own indexes.
-        assert len(error.modules) == 3
-        assert error.modules[0] is not None
-        assert error.modules[1] is None
-        assert error.modules[2] is not None
+        assert len(results) == 3
+        assert results[0].module is not None
+        assert results[1].module is None
+        assert results[2].module is not None
 
-    def test_serial_and_parallel_failures_agree(self, tmp_path):
+    def test_serial_and_parallel_failures_agree(self, engine, tmp_path):
         batch = self._batch_with_bad_template(tmp_path)
-        with pytest.raises(BatchGenerationError) as serial:
-            _generator(tmp_path).generate_many(batch, jobs=1)
-        with pytest.raises(BatchGenerationError) as parallel:
-            _generator(tmp_path).generate_many(batch, jobs=3)
-        assert serial.value.failures == parallel.value.failures
-        for left, right in zip(serial.value.modules, parallel.value.modules):
-            assert (left is None) == (right is None)
-            if left is not None:
-                assert left.source == right.source
+        serial = engine().generate_many(batch, jobs=1)
+        parallel = engine().generate_many(batch, jobs=3)
+        assert [r.error for r in serial] == [r.error for r in parallel]
+        for left, right in zip(serial, parallel):
+            assert (left.module is None) == (right.module is None)
+            if left.module is not None:
+                assert left.module.source == right.module.source
 
-    def test_message_names_every_failure(self, tmp_path):
+    def test_message_names_every_failure(self, engine, tmp_path):
         batch = self._batch_with_bad_template(tmp_path)
-        with pytest.raises(BatchGenerationError) as excinfo:
-            _generator(tmp_path).generate_many(batch)
-        assert "1 of 3 templates failed" in str(excinfo.value)
-        assert "bad.py" in str(excinfo.value)
+        results = engine().generate_many(batch)
+        assert (sum(not r.ok for r in results), len(results)) == (1, 3)
+        assert "bad.py" in str(results[1].error)
 
 
 class TestUnknownSentinelAcrossProcesses:

@@ -154,9 +154,6 @@ class TestFaultPlan:
 class _FakeGenerator:
     """Stands in for the real generator in serial-fallback paths."""
 
-    def generate_from_file(self, path, verify=None):
-        return f"gen:{path}"
-
     def generate_from_source(self, source, name, verify=None):
         return f"gen:{name}"
 
@@ -199,7 +196,7 @@ def _install_fake_pool(monkeypatch, behaviors: list, rss_mb: float = 10.0):
 
 
 FAST_BACKOFF = dict(backoff_base_seconds=0.001, backoff_max_seconds=0.002)
-SPECS = [("path", "a.py", "a.py", False), ("path", "b.py", "b.py", False)]
+SPECS = [("source", "", "a.py", False), ("source", "", "b.py", False)]
 
 
 class TestSupervisedWorkerPool:
@@ -402,7 +399,7 @@ class TestPoolPlumbing:
             return TaskOutcome(index, f"module-{index}", None)
 
         monkeypatch.setattr(workers, "run_task", slow_task)
-        specs = [("path", f"{n}.py", f"{n}.py", False) for n in range(4)]
+        specs = [("source", "", f"{n}.py", False) for n in range(4)]
         with ThreadPoolExecutor(max_workers=1) as executor:
             # 4 serial tasks x 40ms ≈ 160ms total, but no single gap
             # exceeds the 60ms stall budget.
@@ -473,8 +470,6 @@ class TestParallelAnalysisPool:
         assert pool["restarts"] > 0
 
     def test_parallel_analysis_never_forks(self, monkeypatch):
-        from repro.sast import ProjectAnalyzer
-
         contexts = []
         real_executor = workers.ProcessPoolExecutor
 
@@ -483,7 +478,10 @@ class TestParallelAnalysisPool:
             return real_executor(*args, **kwargs)
 
         monkeypatch.setattr(workers, "ProcessPoolExecutor", recording_executor)
-        result = ProjectAnalyzer().analyze_sources(COMPONENT_SOURCES, jobs=2)
+        with CryptoGenEngine() as engine:
+            result = engine.analyze(
+                AnalyzeRequest(sources=COMPONENT_SOURCES, jobs=2)
+            ).analysis
         assert set(result.modules) == set(COMPONENT_SOURCES)
         assert contexts
         for context in contexts:
@@ -980,6 +978,26 @@ class TestHealthOp:
                 health["disk_cache"]["io_errors"]
                 == store.counter(DISK_IO_ERRORS)
             )
+        finally:
+            engine.close()
+
+    def test_summary_store_io_errors_reach_health(self, tmp_path):
+        engine = CryptoGenEngine(cache_dir=tmp_path / "cache")
+        try:
+            faults.configure("disk_io:0.3,seed=1")
+            for n in range(20):
+                sources = {
+                    **ANALYZE_SOURCES,
+                    "helpers.py": f"def make_iv():\n    return b'{n}' * 16\n",
+                }
+                assert engine.analyze(AnalyzeRequest(sources=sources)).ok
+            faults.reset()
+            server = EngineServer(engine)
+            [health] = _run(server, [{"id": 1, "op": "health", "probe": False}])
+            store = engine.summary_cache.disk.diagnostics
+            count = health["disk_cache"]["summary_store.io_errors"]
+            assert count > 0
+            assert count == store.counter("summary_store.io_errors")
         finally:
             engine.close()
 

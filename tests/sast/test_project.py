@@ -157,8 +157,15 @@ class TestDeterminism:
     }
 
     def test_parallel_matches_serial_byte_for_byte(self):
-        serial = ProjectAnalyzer().analyze_sources(self.SOURCES, jobs=1)
-        parallel = ProjectAnalyzer().analyze_sources(self.SOURCES, jobs=2)
+        from repro.engine import AnalyzeRequest, CryptoGenEngine
+
+        with CryptoGenEngine() as engine:
+            serial = engine.analyze(AnalyzeRequest(sources=self.SOURCES))
+            parallel = engine.analyze(
+                AnalyzeRequest(sources=self.SOURCES, jobs=2)
+            )
+        assert len(_components(self.SOURCES)) > 1  # really fans out
+        serial, parallel = serial.analysis, parallel.analysis
         assert serial.render() == parallel.render()
         assert serial.to_dict() == parallel.to_dict()
 
