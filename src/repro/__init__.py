@@ -23,7 +23,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.predicates``   ENSURES/REQUIRES linking between rules
 ``repro.codegen``      the generator core (templates, selection, emission)
 ``repro.jca``          a JCA-style crypto provider (runnable target API)
-``repro.primitives``   from-scratch crypto primitives underneath
+``repro.primitives``   crypto primitives underneath
 ``repro.sast``         the rule-driven static analyzer (validity checks)
 ``repro.oldgen``       the XSL + Clafer baseline (CogniCrypt_old-gen)
 ``repro.usecases``     the eleven use cases of Table 1

@@ -338,7 +338,22 @@ def parse_template_source(source: str, path: str = "<template>") -> TemplateMode
     return model
 
 
+def decode_template(data: bytes, where: str) -> str:
+    """Template bytes as text: strict UTF-8 with universal newlines, as
+    ``Path.read_text(encoding="utf-8")`` reads them. Bytes that are not
+    UTF-8 are a :class:`TemplateError`, so a bad file fails only its own
+    request."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TemplateError(
+            f"{where}: not UTF-8 at byte {exc.start} ({exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_template_file(path: str | Path) -> TemplateModel:
     """Parse a template module from disk."""
     path = Path(path)
-    return parse_template_source(path.read_text(encoding="utf-8"), str(path))
+    text = decode_template(path.read_bytes(), str(path))
+    return parse_template_source(text, str(path))

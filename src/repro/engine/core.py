@@ -63,6 +63,7 @@ from ..codegen import (
     GenerationContext,
     GenerationError,
 )
+from ..codegen.template import decode_template
 from ..cache.lru import LRUCache
 from ..cache.store import SCHEMA_VERSION
 from ..crysl import RuleRepository, RuleSet, bundled_ruleset
@@ -259,12 +260,6 @@ class AnalyzeResult(_ResultBase):
                 "modules": self.analysis.to_dict(),
             }
         return payload
-
-
-def _decode_template(data: bytes) -> str:
-    """Template bytes as ``Path.read_text(encoding="utf-8")`` reads them:
-    strict UTF-8, universal newlines."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _engine_error(exc: BaseException) -> EngineError:
@@ -628,8 +623,8 @@ class CryptoGenEngine:
             raise EngineRequestError(
                 "generate request needs a template path or source"
             )
-        text = _decode_template(item.payload)
-        return text, str(Path(request.template)), verify
+        name = str(Path(request.template))
+        return decode_template(item.payload, name), name, verify
 
     @contextmanager
     def _breaker_guard(

@@ -1,9 +1,10 @@
-"""A JCA-style cryptographic provider implemented from scratch in Python.
+"""A JCA-style cryptographic provider implemented in Python.
 
 This package plays the role of the Java Cryptography Architecture in the
 reproduction: the CrySL rules in :mod:`repro.rules` specify *these*
 classes, the code generator emits calls against *this* API, and the
-generated code actually runs on the pure-Python primitives underneath.
+generated code actually runs on the primitives underneath (hashlib/hmac
+digests, pure-Python ciphers).
 
 The API mirrors the JCA's shape (``get_instance`` factories, explicit
 init/update/do_final typestates, parameter-spec objects) with snake_case

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from ..primitives.mac import HMAC
+import hmac
+
+from ..primitives.hashes import DIGEST_SIZES
+from ..primitives.mac import new_hmac
 from .exceptions import IllegalStateError, InvalidKeyError, NoSuchAlgorithmError
 from .keys import SecretKey
 from .registry import MAC_ALGORITHMS, parse_mac
@@ -25,7 +28,7 @@ class Mac:
         self.algorithm = algorithm
         self._digest = parse_mac(algorithm)
         self._key: bytes | None = None
-        self._hmac: HMAC | None = None
+        self._hmac: hmac.HMAC | None = None
 
     @classmethod
     def get_instance(cls, algorithm: str) -> "Mac":
@@ -36,7 +39,7 @@ class Mac:
         if not isinstance(key, SecretKey):
             raise InvalidKeyError(f"Mac requires a SecretKey, got {type(key).__name__}")
         self._key = key.get_encoded()
-        self._hmac = HMAC(self._key, self._digest)
+        self._hmac = new_hmac(self._key, self._digest)
 
     def update(self, data: bytes | bytearray) -> None:
         """Absorb more input."""
@@ -51,16 +54,14 @@ class Mac:
         if data is not None:
             self.update(data)
         tag = self._hmac.digest()
-        self._hmac = HMAC(self._key, self._digest)
+        self._hmac = new_hmac(self._key, self._digest)
         return tag
 
     def reset(self) -> None:
         """Discard absorbed input, keep the key."""
         if self._key is not None:
-            self._hmac = HMAC(self._key, self._digest)
+            self._hmac = new_hmac(self._key, self._digest)
 
     def get_mac_length(self) -> int:
         """Output length in bytes."""
-        from ..primitives.hashes import DIGEST_SIZES
-
         return DIGEST_SIZES[self._digest]

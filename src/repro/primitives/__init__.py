@@ -1,4 +1,4 @@
-"""From-scratch cryptographic primitives backing the JCA-style provider.
+"""Cryptographic primitives backing the JCA-style provider.
 
 This package is the bottom layer of the reproduction stack:
 
@@ -9,15 +9,17 @@ Module            Provides
 ``modes``         CBC (PKCS#7), CTR and GCM over the AES block
 ``gf128``         GF(2^128) arithmetic and GHASH for GCM
 ``padding``       PKCS#7 pad/unpad
-``hashes``        pure-Python SHA-256 + hashlib-backed SHA-2 registry
-``mac``           HMAC (FIPS 198-1)
-``kdf``           PBKDF2-HMAC and HKDF
+``hashes``        JCA digest names over ``hashlib``
+``mac``           HMAC (FIPS 198-1) over the stdlib ``hmac``
+``kdf``           PBKDF2-HMAC over ``hashlib.pbkdf2_hmac``
 ``rsa``           RSA keygen, OAEP, PSS, PKCS#1 v1.5
 ``numbers``       Miller–Rabin, prime generation, modular arithmetic
 ``random``        OS entropy source and HMAC-DRBG (SP 800-90A)
 ``ct``            constant-time-shaped comparisons
 ================  ====================================================
 
+SHA, HMAC and PBKDF2 come from the standard library; AES, GCM, RSA and
+the DRBG are pure Python by design, so the cipher stack stays auditable.
 Nothing in here knows about CrySL or code generation; the provider in
 :mod:`repro.jca` is the only consumer.
 """
@@ -35,9 +37,9 @@ from .errors import (
     ParameterError,
 )
 from .gf128 import GHASH, gf_mult
-from .hashes import SECURE_DIGESTS, SHA256, hash_bytes, new_hash
-from .kdf import hkdf, pbkdf2
-from .mac import HMAC, hmac_digest
+from .hashes import SECURE_DIGESTS, hash_bytes, new_hash
+from .kdf import pbkdf2
+from .mac import hmac_digest, new_hmac
 from .modes import cbc_decrypt, cbc_encrypt, ctr_transform, gcm_decrypt, gcm_encrypt
 from .numbers import generate_prime, is_probable_prime, modinv
 from .padding import pad, unpad
@@ -58,13 +60,11 @@ __all__ = [
     "AES",
     "BLOCK_SIZE",
     "GHASH",
-    "HMAC",
     "HmacDrbg",
     "OsRandomSource",
     "RsaPrivateKey",
     "RsaPublicKey",
     "SECURE_DIGESTS",
-    "SHA256",
     "CryptoError",
     "InvalidBlockSize",
     "InvalidKeyLength",
@@ -83,11 +83,11 @@ __all__ = [
     "generate_prime",
     "gf_mult",
     "hash_bytes",
-    "hkdf",
     "hmac_digest",
     "is_probable_prime",
     "modinv",
     "new_hash",
+    "new_hmac",
     "oaep_decrypt",
     "oaep_encrypt",
     "pad",

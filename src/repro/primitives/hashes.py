@@ -1,108 +1,16 @@
-"""Hash functions: a from-scratch SHA-256 plus a registry over hashlib.
+"""Hash functions: JCA digest names over ``hashlib``.
 
-The pure-Python SHA-256 (:class:`SHA256`) exists so the provider stack
-is auditable end to end; the registry (:func:`new_hash`) dispatches to
-``hashlib`` for the other SHA-2 family members, which is the same
-trade-off the paper's artefact makes by reusing the JDK's digests.
+Every digest comes from ``hashlib``, the same trade-off the paper's
+artefact makes by reusing the JDK's digests. This module only maps the
+JCA spellings (``SHA-256``) onto hashlib's (``sha256``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import Callable
 
-# SHA-256 round constants: first 32 bits of the fractional parts of the
-# cube roots of the first 64 primes (FIPS 180-4).
-_K = [
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1,
-    0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174, 0xE49B69C1, 0xEFBE4786,
-    0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85, 0xA2BFE8A1, 0xA81A664B,
-    0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A,
-    0x5B9CCA4F, 0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-]
-
-_H0 = [
-    0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-    0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-]
-
-_MASK = 0xFFFFFFFF
-
-
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK
-
-
-class SHA256:
-    """Incremental pure-Python SHA-256.
-
-    >>> SHA256(b"abc").hexdigest()[:8]
-    'ba7816bf'
-    """
-
-    digest_size = 32
-    block_size = 64
-    name = "sha256"
-
-    def __init__(self, data: bytes = b""):
-        self._h = list(_H0)
-        self._buffer = b""
-        self._length = 0
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> "SHA256":
-        self._length += len(data)
-        self._buffer += data
-        while len(self._buffer) >= 64:
-            self._compress(self._buffer[:64])
-            self._buffer = self._buffer[64:]
-        return self
-
-    def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block))
-        for t in range(16, 64):
-            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK)
-        a, b, c, d, e, f, g, h = self._h
-        for t in range(64):
-            big_s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-            ch = (e & f) ^ (~e & g)
-            t1 = (h + big_s1 + ch + _K[t] + w[t]) & _MASK
-            big_s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            t2 = (big_s0 + maj) & _MASK
-            h, g, f, e, d, c, b, a = g, f, e, (d + t1) & _MASK, c, b, a, (t1 + t2) & _MASK
-        self._h = [(x + y) & _MASK for x, y in zip(self._h, [a, b, c, d, e, f, g, h])]
-
-    def digest(self) -> bytes:
-        # Pad a copy so the object stays usable after digest().
-        clone = SHA256()
-        clone._h = list(self._h)
-        clone._buffer = self._buffer
-        clone._length = self._length
-        bit_length = 8 * clone._length
-        clone.update(b"\x80")
-        while (clone._length % 64) != 56:
-            clone.update(b"\x00")
-        # Feed the length directly into the compression path.
-        clone._buffer += struct.pack(">Q", bit_length)
-        clone._compress(clone._buffer)
-        return b"".join(struct.pack(">I", word) for word in clone._h)
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-
-#: Digest sizes for every hash the provider stack recognises.
+#: Digest sizes for every hash the provider stack recognises, by JCA
+#: name. The hashlib name is the JCA one without dashes, lower-cased.
 DIGEST_SIZES = {
     "SHA-256": 32,
     "SHA-384": 48,
@@ -110,25 +18,6 @@ DIGEST_SIZES = {
     "SHA-224": 28,
     "SHA-1": 20,
     "MD5": 16,
-}
-
-#: Internal block sizes (needed by HMAC).
-BLOCK_SIZES = {
-    "SHA-256": 64,
-    "SHA-384": 128,
-    "SHA-512": 128,
-    "SHA-224": 64,
-    "SHA-1": 64,
-    "MD5": 64,
-}
-
-_HASHLIB_NAMES = {
-    "SHA-256": "sha256",
-    "SHA-384": "sha384",
-    "SHA-512": "sha512",
-    "SHA-224": "sha224",
-    "SHA-1": "sha1",
-    "MD5": "md5",
 }
 
 #: Digests that are acceptable per the CrySL rule set shipped in
@@ -149,26 +38,16 @@ def canonical_name(algorithm: str) -> str:
     raise ValueError(f"unknown digest algorithm: {algorithm!r}")
 
 
-def new_hash(algorithm: str):
-    """Create an incremental hash object for a JCA-style algorithm name.
+def hashlib_name(algorithm: str) -> str:
+    """The ``hashlib``/``hmac`` spelling of a JCA digest name."""
+    return canonical_name(algorithm).replace("-", "").lower()
 
-    SHA-256 returns the pure-Python implementation; everything else is a
-    ``hashlib`` object (identical duck-type: update/digest/hexdigest).
-    """
-    name = canonical_name(algorithm)
-    if name == "SHA-256":
-        return SHA256()
-    return hashlib.new(_HASHLIB_NAMES[name])
+
+def new_hash(algorithm: str):
+    """An incremental ``hashlib`` object for a JCA-style algorithm name."""
+    return hashlib.new(hashlib_name(algorithm))
 
 
 def hash_bytes(algorithm: str, data: bytes) -> bytes:
     """One-shot digest of ``data``."""
-    h = new_hash(algorithm)
-    h.update(data)
-    return h.digest()
-
-
-def hash_function(algorithm: str) -> Callable[[bytes], bytes]:
-    """Return a one-shot digest callable bound to ``algorithm``."""
-    name = canonical_name(algorithm)
-    return lambda data: hash_bytes(name, data)
+    return hashlib.new(hashlib_name(algorithm), data).digest()

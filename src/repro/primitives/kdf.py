@@ -1,4 +1,4 @@
-"""Key-derivation functions: PBKDF2-HMAC (RFC 8018) from scratch.
+"""Key derivation: PBKDF2-HMAC (RFC 8018) through ``hashlib``.
 
 The JCA exposes PBKDF2 through ``SecretKeyFactory.getInstance(
 "PBKDF2WithHmacSHA256")``; the provider in :mod:`repro.jca` parses those
@@ -7,11 +7,10 @@ transformation strings and calls down into this module.
 
 from __future__ import annotations
 
-import struct
+import hashlib
 
 from .errors import ParameterError
-from .hashes import DIGEST_SIZES, canonical_name
-from .mac import hmac_digest
+from .hashes import hashlib_name
 
 
 def pbkdf2(
@@ -31,51 +30,6 @@ def pbkdf2(
         raise ParameterError(f"PBKDF2 iteration count must be >= 1, got {iterations}")
     if key_length < 1:
         raise ParameterError(f"PBKDF2 key length must be >= 1, got {key_length}")
-    algorithm = canonical_name(algorithm)
-    digest_size = DIGEST_SIZES[algorithm]
-    blocks = -(-key_length // digest_size)  # ceil division
-    derived = bytearray()
-    for index in range(1, blocks + 1):
-        u = hmac_digest(password, salt + struct.pack(">I", index), algorithm)
-        t = bytearray(u)
-        for _ in range(iterations - 1):
-            u = hmac_digest(password, u, algorithm)
-            for i, byte in enumerate(u):
-                t[i] ^= byte
-        derived.extend(t)
-    return bytes(derived[:key_length])
-
-
-def hkdf_extract(salt: bytes, ikm: bytes, algorithm: str = "SHA-256") -> bytes:
-    """HKDF-Extract (RFC 5869): PRK = HMAC(salt, IKM)."""
-    algorithm = canonical_name(algorithm)
-    if not salt:
-        salt = bytes(DIGEST_SIZES[algorithm])
-    return hmac_digest(salt, ikm, algorithm)
-
-
-def hkdf_expand(prk: bytes, info: bytes, length: int, algorithm: str = "SHA-256") -> bytes:
-    """HKDF-Expand (RFC 5869)."""
-    algorithm = canonical_name(algorithm)
-    digest_size = DIGEST_SIZES[algorithm]
-    if length > 255 * digest_size:
-        raise ParameterError(f"HKDF output too long: {length} > {255 * digest_size}")
-    okm = bytearray()
-    t = b""
-    counter = 1
-    while len(okm) < length:
-        t = hmac_digest(prk, t + info + bytes([counter]), algorithm)
-        okm.extend(t)
-        counter += 1
-    return bytes(okm[:length])
-
-
-def hkdf(
-    ikm: bytes,
-    salt: bytes,
-    info: bytes,
-    length: int,
-    algorithm: str = "SHA-256",
-) -> bytes:
-    """Full HKDF = Extract then Expand."""
-    return hkdf_expand(hkdf_extract(salt, ikm, algorithm), info, length, algorithm)
+    return hashlib.pbkdf2_hmac(
+        hashlib_name(algorithm), password, salt, iterations, key_length
+    )

@@ -1,46 +1,25 @@
-"""HMAC (RFC 2104 / FIPS 198-1), implemented from scratch over the hash
-registry in :mod:`repro.primitives.hashes`.
+"""HMAC (RFC 2104 / FIPS 198-1): the stdlib ``hmac`` keyed through the
+JCA digest names of :mod:`repro.primitives.hashes`.
 """
 
 from __future__ import annotations
 
-from .hashes import BLOCK_SIZES, canonical_name, hash_bytes, new_hash
+import hmac
 
-_IPAD = 0x36
-_OPAD = 0x5C
+from .hashes import hashlib_name
 
 
-class HMAC:
-    """Incremental HMAC keyed with ``key`` over ``algorithm``.
+def new_hmac(key: bytes, algorithm: str = "SHA-256") -> hmac.HMAC:
+    """An incremental HMAC keyed with ``key`` over ``algorithm``.
 
-    >>> HMAC(b"key", "SHA-256").update(b"msg").hexdigest()[:8]
+    >>> mac = new_hmac(b"key", "SHA-256")
+    >>> mac.update(b"msg")
+    >>> mac.hexdigest()[:8]
     '2d93cbc1'
     """
-
-    def __init__(self, key: bytes, algorithm: str = "SHA-256"):
-        self.algorithm = canonical_name(algorithm)
-        block_size = BLOCK_SIZES[self.algorithm]
-        if len(key) > block_size:
-            key = hash_bytes(self.algorithm, key)
-        key = key + bytes(block_size - len(key))
-        self._okey = bytes(b ^ _OPAD for b in key)
-        self._inner = new_hash(self.algorithm)
-        self._inner.update(bytes(b ^ _IPAD for b in key))
-
-    def update(self, data: bytes) -> "HMAC":
-        self._inner.update(data)
-        return self
-
-    def digest(self) -> bytes:
-        outer = new_hash(self.algorithm)
-        outer.update(self._okey)
-        outer.update(self._inner.digest())
-        return outer.digest()
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
+    return hmac.new(key, digestmod=hashlib_name(algorithm))
 
 
 def hmac_digest(key: bytes, data: bytes, algorithm: str = "SHA-256") -> bytes:
     """One-shot HMAC."""
-    return HMAC(key, algorithm).update(data).digest()
+    return hmac.digest(key, data, hashlib_name(algorithm))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.codegen.template import (
     TemplateError,
+    parse_template_file,
     parse_template_source,
 )
 
@@ -155,6 +156,12 @@ class TestErrors:
                 "        (CrySLCodeGenerator.get_instance()"
                 ".consider_crysl_rule(name).generate())\n"
             )
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bin.py"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(TemplateError, match="not UTF-8 at byte 0"):
+            parse_template_file(path)
 
     def test_two_chains_in_one_method_rejected(self):
         with pytest.raises(TemplateError, match="more than one"):

@@ -157,6 +157,19 @@ class TestGenerateMany:
         assert results[0].ok
         assert not results[1].ok
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_utf8_template_fails_alone(self, jobs, tmp_path):
+        binary = tmp_path / "bin.py"
+        binary.write_bytes(b"\xff\xfe")
+        engine = CryptoGenEngine(result_cache_size=0)
+        try:
+            bad, good = engine.generate_many([binary, TEMPLATE], jobs=jobs)
+        finally:
+            engine.close()
+        assert bad.error.type == "TemplateError"
+        assert "not UTF-8" in bad.error.message
+        assert good.ok
+
     def test_parallel_batches_reuse_one_warm_pool(self):
         engine = CryptoGenEngine()
         first = engine.generate_many([TEMPLATE, TEMPLATE], jobs=2)
