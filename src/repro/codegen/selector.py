@@ -17,18 +17,19 @@ The paper describes a sequence of filters and heuristics:
    method path with the fewest method calls as well as the smallest
    number of parameters".
 
-This module realises those rules as a small exhaustive search over the
+This module realises those rules as one exact search over the
 per-instance path candidates with a lexicographic score
 ``(pushed-up, unsatisfied-requires, dropped-instances, calls, params)``
-— the paper's greedy filters fall out as the dominant terms, and
+— the paper's filters fall out as the dominant terms, and
 ``tests/codegen/test_selector.py::TestAblations`` switches individual
 design choices off. The score is a sum of per-instance terms, each
-solved once per :func:`select` call (:class:`_Resolver`).
+solved once per :func:`select` call, and a branch-and-bound over them
+(:meth:`_Resolver.search`) returns the first lowest-scoring combination
+in product order without scoring every combination.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ..constraints import (
@@ -54,20 +55,13 @@ from ..diagnostics import (
     TIER_TEMPLATE,
     Diagnostics,
 )
-from ..fsm import enumerate_paths
 from ..predicates import (
     Link,
     RuleInstance,
     compute_links,
-    granted_predicates,
-    invalidating_events,
     unlinked_instances,
 )
 from .context import GenerationContext
-
-#: Hard cap on the path-combination product; beyond it the selector
-#: falls back to a per-instance greedy choice.
-MAX_COMBINATIONS = 20_000
 
 
 class GenerationError(Exception):
@@ -114,9 +108,6 @@ class ChainPlan:
     score: tuple[int, int, int, int, int]
     dropped: tuple[int, ...] = ()
 
-    def plan_for(self, index: int) -> InstancePlan:
-        return self.instances[index]
-
 
 # ---------------------------------------------------------------------------
 # path prefilters (Figure 6, step 3)
@@ -124,16 +115,10 @@ class ChainPlan:
 
 
 def candidate_paths(
-    instance: RuleInstance,
-    paths: tuple[tuple[ast.Event, ...], ...] | list[tuple[ast.Event, ...]] | None = None,
+    instance: RuleInstance, paths: tuple[tuple[ast.Event, ...], ...]
 ) -> list[tuple[ast.Event, ...]]:
-    """Per-instance path candidates after the template-object filter.
-
-    ``paths`` lets callers supply the rule's pre-enumerated paths (from
-    the compiled-rule cache); without it the rule is enumerated afresh.
-    """
-    if paths is None:
-        paths = enumerate_paths(instance.rule)
+    """The rule's enumerated ``paths`` that pass the template-object
+    filter for this instance."""
     bound_vars = set(instance.bindings) - {"this"}
     receiver_bound = "this" in instance.bindings
     needs_output = instance.return_target is not None
@@ -195,16 +180,12 @@ def _link_activatable(
     producer_path: tuple[ast.Event, ...],
     consumer: RuleInstance,
     consumer_path: tuple[ast.Event, ...],
-    producer_compiled: CompiledRule | None,
+    producer_compiled: CompiledRule,
 ) -> bool:
     """Does the producer path grant the predicate and the consumer path
     actually use the linked object?"""
     producer_labels = tuple(e.label for e in producer_path)
-    if producer_compiled is not None:
-        granted = producer_compiled.granted_predicates(producer_labels)
-    else:
-        granted = granted_predicates(producer.rule, producer_labels)
-    if link.ensures not in granted:
+    if link.ensures not in producer_compiled.granted_predicates(producer_labels):
         return False
     if not _producer_side_available(link, producer_path, producer):
         return False
@@ -227,9 +208,7 @@ def _declared_type(rule: ast.Rule, object_name: str) -> str | None:
     return declaration.type_name if declaration else None
 
 
-def _template_binding_to_binding(
-    name: str, template_binding, facts_type: str | None = None
-) -> Binding:
+def _template_binding_to_binding(name: str, template_binding) -> Binding:
     binding = Binding(
         name,
         BindingSource.TEMPLATE,
@@ -283,7 +262,7 @@ def _evaluate_instance(
     incoming: list[Link],
     instances: list[RuleInstance],
     registry: TypeRegistry,
-    compiled: CompiledRule | None,
+    compiled: CompiledRule,
 ) -> tuple[InstancePlan, int, int] | None:
     """One instance's term of the score: its plan, its pushed-up count
     and its unsatisfied-REQUIRES count, given its path and the active
@@ -349,28 +328,23 @@ def _evaluate_instance(
         )
         if not linked and not waived:
             unsatisfied += 1
-    deferred = (
-        compiled.invalidating_events(labels)
-        if compiled is not None
-        else invalidating_events(instance.rule, labels)
-    )
     plan = InstancePlan(
         instance=instance,
         path=path,
         env=env,
         pushed_up=tuple(pushed),
-        deferred=deferred,
+        deferred=compiled.invalidating_events(labels),
         receiver_pushed=receiver_pushed,
     )
     return plan, len(pushed) + (1 if receiver_pushed else 0), unsatisfied
 
 
 class _Resolver:
-    """Scores path combinations for one :func:`select` call.
+    """Finds the best-scoring path combination for one :func:`select` call.
 
-    A combination is a tuple of candidate positions, one per instance.
-    Its score is a sum of per-instance terms, and both of its inputs are
-    memoised for the life of this object:
+    A combination is a list of candidate positions, one per instance.
+    Its score is a sum of per-instance terms, and both of their inputs
+    are memoised for the life of this object:
 
     * each instance's term under ``(instance index, candidate position,
       incoming active links)``. In CrySL an instance's CONSTRAINTS and
@@ -391,79 +365,121 @@ class _Resolver:
         per_instance: list[list[tuple[ast.Event, ...]]],
         links: list[Link],
         registry: TypeRegistry,
-        compiled: list[CompiledRule | None],
+        compiled: list[CompiledRule],
     ):
         self._instances = instances
         self._per_instance = per_instance
         self._links = links
         self._registry = registry
         self._compiled = compiled
+        #: link positions into each instance, in link order
+        self._into: list[list[int]] = [[] for _ in instances]
+        for position, link in enumerate(links):
+            self._into[link.consumer].append(position)
         self._terms: dict[
             tuple[int, int, tuple[int, ...]], tuple[InstancePlan, int, int] | None
         ] = {}
         self._activation: dict[tuple[int, int, int], bool] = {}
 
-    def _active(self, combo: tuple[int, ...]) -> list[int]:
-        """Positions of the links active under ``combo``. One link per
-        consumer slot; the nearest producer wins (freshest value)."""
+    def _incoming(self, index: int, choices: list[int]) -> tuple[int, ...]:
+        """Positions of the active links into instance ``index``. One
+        link per consumer object; the nearest producer wins (freshest
+        value). Links point forward only, so this reads the choices of
+        ``index`` and of earlier instances."""
         links = self._links
-        chosen: dict[tuple[int, str], int] = {}
-        for position, link in enumerate(links):
-            producer_choice = combo[link.producer]
-            consumer_choice = combo[link.consumer]
-            key = (position, producer_choice, consumer_choice)
+        chosen: dict[str, int] = {}
+        for position in self._into[index]:
+            link = links[position]
+            key = (position, choices[link.producer], choices[index])
             active = self._activation.get(key)
             if active is None:
                 active = self._activation[key] = _link_activatable(
                     link,
                     self._instances[link.producer],
-                    self._per_instance[link.producer][producer_choice],
-                    self._instances[link.consumer],
-                    self._per_instance[link.consumer][consumer_choice],
+                    self._per_instance[link.producer][key[1]],
+                    self._instances[index],
+                    self._per_instance[index][key[2]],
                     self._compiled[link.producer],
                 )
             if not active:
                 continue
-            slot = (link.consumer, link.consumer_object)
-            current = chosen.get(slot)
+            current = chosen.get(link.consumer_object)
             if current is None or link.producer > links[current].producer:
-                chosen[slot] = position
-        return list(chosen.values())
+                chosen[link.consumer_object] = position
+        return tuple(chosen.values())
 
-    def evaluate(self, combo: tuple[int, ...]) -> ChainPlan | None:
-        """The plan and score for one combination; ``None`` when a path
-        violates its rule's CONSTRAINTS."""
-        links = self._links
-        positions = self._active(combo)
-        incoming: list[list[int]] = [[] for _ in combo]
-        for position in positions:
-            incoming[links[position].consumer].append(position)
-        pushed_total = unsatisfied = 0
+    def search(self, diag: Diagnostics) -> ChainPlan | None:
+        """The first lowest-scoring combination in product order, or
+        ``None`` when each one violates some rule's CONSTRAINTS.
+
+        A depth-first branch-and-bound: instances in chain order, each
+        one's candidates in order. A chosen instance's pushed-up and
+        unsatisfied counts are final, and the rest of the chain makes
+        at least its shortest paths' calls and parameters, so
+        ``(pushed, unmet, 0, calls + fewest calls left, params + fewest
+        params left)`` bounds every completion from below. A subtree
+        whose bound does not beat the best plan is skipped; only
+        complete plans are scored (``COMBOS_EVALUATED``).
+        """
+        count = len(self._per_instance)
+        costs = [
+            [(len(path), sum(event.arity for event in path)) for path in candidates]
+            for candidates in self._per_instance
+        ]
+        fewest_left = [(0, 0)] * (count + 1)
+        for index in reversed(range(count)):
+            calls, params = fewest_left[index + 1]
+            fewest_left[index] = (
+                calls + min(cost[0] for cost in costs[index]),
+                params + min(cost[1] for cost in costs[index]),
+            )
+        choices = [0] * count
+        incoming: list[tuple[int, ...]] = [()] * count
         plans: list[InstancePlan] = []
-        for index, choice in enumerate(combo):
-            key = (index, choice, tuple(incoming[index]))
-            if key not in self._terms:
-                self._terms[key] = _evaluate_instance(
-                    self._instances[index],
-                    self._per_instance[index][choice],
-                    [links[position] for position in incoming[index]],
-                    self._instances,
-                    self._registry,
-                    self._compiled[index],
+        best: ChainPlan | None = None
+
+        def visit(index: int, pushed: int, unmet: int, calls: int, params: int):
+            nonlocal best
+            if index == count:
+                diag.count(COMBOS_EVALUATED)
+                active = [self._links[p] for into in incoming for p in into]
+                dropped = tuple(unlinked_instances(self._instances, active))
+                score = (pushed, unmet, len(dropped), calls, params)
+                if best is None or score < best.score:
+                    best = ChainPlan(list(plans), active, score, dropped)
+                return
+            for choice, (path_calls, path_params) in enumerate(costs[index]):
+                choices[index] = choice
+                incoming[index] = self._incoming(index, choices)
+                key = (index, choice, incoming[index])
+                if key not in self._terms:
+                    self._terms[key] = _evaluate_instance(
+                        self._instances[index],
+                        self._per_instance[index][choice],
+                        [self._links[p] for p in incoming[index]],
+                        self._instances,
+                        self._registry,
+                        self._compiled[index],
+                    )
+                if self._terms[key] is None:
+                    continue
+                plan, plan_pushed, plan_unmet = self._terms[key]
+                step = (
+                    pushed + plan_pushed,
+                    unmet + plan_unmet,
+                    calls + path_calls,
+                    params + path_params,
                 )
-            term = self._terms[key]
-            if term is None:
-                return None
-            plan, pushed, unmet = term
-            plans.append(plan)
-            pushed_total += pushed
-            unsatisfied += unmet
-        active = [links[position] for position in positions]
-        dropped = tuple(unlinked_instances(self._instances, active))
-        total_calls = sum(len(plan.path) for plan in plans)
-        total_params = sum(event.arity for plan in plans for event in plan.path)
-        score = (pushed_total, unsatisfied, len(dropped), total_calls, total_params)
-        return ChainPlan(plans, active, score, dropped)
+                calls_left, params_left = fewest_left[index + 1]
+                bound = (*step[:2], 0, step[2] + calls_left, step[3] + params_left)
+                if best is not None and bound >= best.score:
+                    continue
+                plans.append(plan)
+                visit(index + 1, *step)
+                plans.pop()
+
+        visit(0, 0, 0, 0, 0)
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +514,11 @@ def select(
     """Choose paths and resolve parameters for a whole chain.
 
     With a ``context``, per-rule path enumerations come from the
-    compiled-rule cache; with ``diagnostics``, the select and resolve
-    stages are timed and counted. ``links`` lets the caller reuse the
-    link stage's output instead of recomputing it here.
+    compiled-rule cache, and without one each rule is compiled afresh;
+    with ``diagnostics``, the select and resolve stages are timed and
+    counted. ``links`` lets the caller reuse the link stage's output
+    instead of recomputing it here; like :func:`compute_links`'s, each
+    must run from an earlier instance to a later one.
     """
     if registry is None:
         registry = context.registry if context is not None else default_registry()
@@ -510,7 +528,7 @@ def select(
 
     with diag.stage("select"):
         per_instance = []
-        compiled_rules: list[CompiledRule | None] = []
+        compiled_rules: list[CompiledRule] = []
         for position, instance in enumerate(instances):
             if instance.index != position:
                 raise ValueError(
@@ -518,12 +536,12 @@ def select(
                     f"at chain position {position}; links address instances "
                     "by position"
                 )
-            if context is not None:
-                compiled = context.compiled(instance.rule)
-                all_paths = compiled.paths
-            else:
-                compiled = None
-                all_paths = tuple(enumerate_paths(instance.rule))
+            compiled = (
+                context.compiled(instance.rule)
+                if context is not None
+                else CompiledRule(instance.rule)
+            )
+            all_paths = compiled.paths
             compiled_rules.append(compiled)
             diag.record_path_count(instance.rule.simple_name, len(all_paths))
             candidates = candidate_paths(instance, all_paths)
@@ -539,50 +557,9 @@ def select(
                 )
             per_instance.append(candidates)
 
-        combination_count = 1
-        for candidates in per_instance:
-            combination_count *= len(candidates)
-
     resolver = _Resolver(instances, per_instance, links, registry, compiled_rules)
-    best: ChainPlan | None = None
     with diag.stage("resolve"):
-        if combination_count <= MAX_COMBINATIONS:
-            for combo in itertools.product(*(range(len(c)) for c in per_instance)):
-                diag.count(COMBOS_EVALUATED)
-                result = resolver.evaluate(combo)
-                if result is None:
-                    continue
-                if best is None or result.score < best.score:
-                    best = result
-        else:
-            # Greedy fallback: pick locally-best path per instance, front to
-            # back, holding earlier choices fixed.
-            diag.warn(
-                "resolve",
-                f"path-combination product {combination_count} exceeds "
-                f"{MAX_COMBINATIONS}; falling back to greedy per-instance choice",
-            )
-            chosen: list[int] = []
-            for position, candidates in enumerate(per_instance):
-                local_best = None
-                local_best_result = None
-                for choice in range(len(candidates)):
-                    trial = chosen + [choice] + [0] * (len(per_instance) - position - 1)
-                    diag.count(COMBOS_EVALUATED)
-                    result = resolver.evaluate(tuple(trial))
-                    if result is None:
-                        continue
-                    if local_best is None or result.score < local_best_result.score:
-                        local_best = choice
-                        local_best_result = result
-                if local_best is None:
-                    raise GenerationError(
-                        f"{instances[position].rule.class_name}: every candidate path "
-                        "violates the rule's constraints"
-                    )
-                chosen.append(local_best)
-            best = resolver.evaluate(tuple(chosen))
-
+        best = resolver.search(diag)
         if best is None:
             raise GenerationError(
                 "no combination of usage paths satisfies all CONSTRAINTS; "

@@ -72,6 +72,7 @@ DISK_EVICTIONS = "disk_cache.evictions"
 PATHS_CANDIDATES = "paths.candidates"
 PATHS_KEPT = "paths.kept"
 PATHS_FILTERED = "paths.filtered"
+#: complete path combinations the selector scored; pruned ones are not
 COMBOS_EVALUATED = "combos.evaluated"
 CHAINS = "chains"
 STATEMENTS_EMITTED = "statements.emitted"
@@ -131,8 +132,8 @@ _TIER_LABELS = (
 
 
 #: The most warnings one record keeps. An engine's cumulative record
-#: absorbs every run's warnings (disk-store events, greedy fallbacks)
-#: for its whole lifetime, so older ones are dropped — and counted in
+#: absorbs every run's warnings (disk-store events) for its whole
+#: lifetime, so older ones are dropped — and counted in
 #: ``warnings_dropped`` — once this many are held.
 MAX_WARNINGS = 200
 

@@ -576,15 +576,23 @@ class CryptoGenEngine:
             error=error,
         )
 
-    def _admit(self, request: GenerateRequest) -> "GenerateResult | _Admitted":
+    def _admit(
+        self, request: GenerateRequest, running: "set[ResultKey] | None" = None
+    ) -> "GenerateResult | _Admitted | None":
         """A generate request's steps before its pipeline: one read of
         the template, the result-cache lookup and the breaker admit. A
-        cache hit or an open breaker is already the result."""
+        cache hit or an open breaker is already the result.
+
+        A request whose key is in ``running`` (the keys a pooled batch
+        round already runs) returns ``None``, to wait for a later round.
+        """
         request_id = self._next_request_id(request.request_id)
         payload = self._payload(request)
         readable = isinstance(payload, bytes)
         digest = hashlib.sha256(payload).hexdigest() if readable else None
         key = self._result_key(request, digest)
+        if running is not None and key in running:
+            return None
         if key is not None:
             # Lookups count into the engine's record (result_cache.*).
             with self.diagnostics.recording():
@@ -604,6 +612,8 @@ class CryptoGenEngine:
                 self.breakers.admit(breaker_key)
             except CircuitOpenError as exc:
                 return self._circuit_open_result(request_id, "generate", exc)
+        if running is not None and key is not None:
+            running.add(key)
         return _Admitted(request_id, request, payload, key, breaker_key)
 
     def _pipeline_input(self, item: "_Admitted") -> tuple[str, str, bool]:
@@ -728,7 +738,9 @@ class CryptoGenEngine:
         process (``jobs=1``), or as tasks on the resident pool
         (:meth:`pool`), where the results share one batch trace and are
         numbered ``<batch id>.<index>``. The results are the same
-        either way.
+        either way: a pooled batch runs in rounds, each running one
+        copy of a repeated template, so a later copy is answered from
+        the result cache as it would be in-process.
         """
         if jobs <= 1 or len(templates) <= 1:
             return [
@@ -737,28 +749,34 @@ class CryptoGenEngine:
             ]
         batch_id = self._next_request_id(None)
         trace = Trace(batch_id)
+        requests = [
+            GenerateRequest(
+                template=str(template),
+                verify=verify,
+                request_id=f"{batch_id}.{index}",
+            )
+            for index, template in enumerate(templates)
+        ]
+        results: "list[GenerateResult | None]" = [None] * len(requests)
         with self._batch_lock, activate_trace(trace), trace.span(
             "request:generate-batch"
         ):
-            items = [
-                self._admit(
-                    GenerateRequest(
-                        template=str(template),
-                        verify=verify,
-                        request_id=f"{batch_id}.{index}",
-                    )
-                )
-                for index, template in enumerate(templates)
-            ]
-            pending = [item for item in items if isinstance(item, _Admitted)]
-            with self._breaker_guard([item.breaker_key for item in pending]):
-                outcomes = iter(self._pool_outcomes(pending, jobs))
-        return [
-            item
-            if isinstance(item, GenerateResult)
-            else self._finish_task(item, trace, next(outcomes))
-            for item in items
-        ]
+            while None in results:
+                running: set[ResultKey] = set()
+                items = [
+                    self._admit(request, running) if result is None else result
+                    for request, result in zip(requests, results)
+                ]
+                pending = [item for item in items if isinstance(item, _Admitted)]
+                with self._breaker_guard([item.breaker_key for item in pending]):
+                    outcomes = iter(self._pool_outcomes(pending, jobs))
+                results = [
+                    self._finish_task(item, trace, next(outcomes))
+                    if isinstance(item, _Admitted)
+                    else item
+                    for item in items
+                ]
+        return results
 
     def _pool_outcomes(
         self, pending: "list[_Admitted]", jobs: int

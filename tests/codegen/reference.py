@@ -2,12 +2,13 @@
 
 The program scores a path combination by summing per-instance terms it
 memoises for the length of one :func:`repro.codegen.selector.select`
-call (:class:`repro.codegen.selector._Resolver`). This module keeps the
-evaluator that memo replaced — every combination re-derives every
+call (:class:`repro.codegen.selector._Resolver`), and prunes the
+combinations that cannot beat the best plan so far. This module keeps
+the evaluator that memo replaced — every combination re-derives every
 instance's environment, re-checks its CONSTRAINTS and re-activates every
-link from scratch — and the exhaustive-then-greedy loop that drove it,
-so the differential suite can check the memoised search against an
-implementation with no shared state between combinations. The only
+link from scratch — and an exhaustive loop over every combination, so
+the differential suite can check the memoised branch-and-bound against
+an implementation with no shared state and no pruning. The only
 change from the original is that :func:`evaluate_combo` returns a
 :class:`~repro.codegen.selector.ChainPlan` (the program's former private
 result record had the same four fields). :func:`plan_view` reduces a
@@ -20,7 +21,6 @@ import itertools
 
 from repro.codegen.context import GenerationContext
 from repro.codegen.selector import (
-    MAX_COMBINATIONS,
     ChainPlan,
     GenerationError,
     InstancePlan,
@@ -205,10 +205,9 @@ def reference_select(
     *,
     context: GenerationContext | None = None,
     links: list[Link] | None = None,
-    max_combinations: int = MAX_COMBINATIONS,
 ) -> ChainPlan:
-    """The exhaustive search, or past ``max_combinations`` the greedy
-    per-instance fallback, over :func:`evaluate_combo`."""
+    """The exhaustive search over :func:`evaluate_combo`: the first
+    lowest-scoring combination in product order."""
     if registry is None:
         registry = context.registry if context is not None else default_registry()
     if links is None:
@@ -224,41 +223,13 @@ def reference_select(
             raise GenerationError(f"{instance.rule.class_name}: no candidate path")
         per_instance.append(candidates)
 
-    combination_count = 1
-    for candidates in per_instance:
-        combination_count *= len(candidates)
-
     best: ChainPlan | None = None
-    if combination_count <= max_combinations:
-        for combo in itertools.product(*per_instance):
-            result = evaluate_combo(instances, combo, links, registry, context)
-            if result is None:
-                continue
-            if best is None or result.score < best.score:
-                best = result
-    else:
-        chosen: list[tuple[ast.Event, ...]] = []
-        for position, candidates in enumerate(per_instance):
-            local_best = None
-            local_best_result = None
-            for path in candidates:
-                trial = chosen + [path] + [c[0] for c in per_instance[position + 1 :]]
-                result = evaluate_combo(
-                    instances, tuple(trial), links, registry, context
-                )
-                if result is None:
-                    continue
-                if local_best is None or result.score < local_best_result.score:
-                    local_best = path
-                    local_best_result = result
-            if local_best is None:
-                raise GenerationError(
-                    f"{instances[position].rule.class_name}: every candidate path "
-                    "violates the rule's constraints"
-                )
-            chosen.append(local_best)
-        best = evaluate_combo(instances, tuple(chosen), links, registry, context)
-
+    for combo in itertools.product(*per_instance):
+        result = evaluate_combo(instances, combo, links, registry, context)
+        if result is None:
+            continue
+        if best is None or result.score < best.score:
+            best = result
     if best is None:
         raise GenerationError("no combination of usage paths satisfies all CONSTRAINTS")
     return best

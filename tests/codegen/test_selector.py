@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 import repro.codegen.selector as selector_module
-from repro.codegen import CrySLBasedCodeGenerator, parse_template_file
+from repro.codegen import (
+    CrySLBasedCodeGenerator,
+    GenerationContext,
+    parse_template_file,
+)
 from repro.codegen.fluent import ConsideredRule, GenerationRequest
 from repro.codegen.selector import (
     GenerationError,
@@ -14,6 +18,7 @@ from repro.codegen.selector import (
 )
 from repro.constraints.model import BindingSource
 from repro.diagnostics import COMBOS_EVALUATED, Diagnostics
+from repro.predicates import compute_links
 from repro.predicates.instances import RuleInstance, TemplateBinding
 from repro.usecases import use_case
 
@@ -34,6 +39,10 @@ def _binding(rule_var, expr="x", value=None, type_name=None):
     )
 
 
+def _candidates(ruleset, instance):
+    return candidate_paths(instance, ruleset.compiled(instance.rule).paths)
+
+
 class TestCandidateFilters:
     def test_template_objects_must_appear(self, ruleset):
         """Filter 1 of §3.3: SecureRandom bound on `out` keeps only
@@ -41,7 +50,7 @@ class TestCandidateFilters:
         instance = RuleInstance(
             ruleset.get("SecureRandom"), 0, bindings={"out": _binding("out", "salt")}
         )
-        paths = candidate_paths(instance)
+        paths = _candidates(ruleset, instance)
         assert paths
         for path in paths:
             assert any(e.label == "n1" for e in path)
@@ -50,21 +59,21 @@ class TestCandidateFilters:
         instance = RuleInstance(
             ruleset.get("KeyPair"), 0, bindings={"this": _binding("this", "key_pair")}
         )
-        for path in candidate_paths(instance):
+        for path in _candidates(ruleset, instance):
             assert not any(e.result == "this" or e.is_constructor for e in path)
 
     def test_output_binding_requires_producing_event(self, ruleset):
         instance = RuleInstance(
             ruleset.get("Cipher"), 0, output_bindings={"iv_out": "iv"}
         )
-        for path in candidate_paths(instance):
+        for path in _candidates(ruleset, instance):
             assert any(e.result == "iv_out" for e in path)
 
     def test_return_target_requires_output(self, ruleset):
         instance = RuleInstance(
             ruleset.get("MessageDigest"), 0, return_target="digest"
         )
-        assert candidate_paths(instance)
+        assert _candidates(ruleset, instance)
 
 
 class TestPbeSelection:
@@ -263,24 +272,6 @@ class TestAblations:
         # pushed up.
         assert plan.score[0] >= 3
 
-    def test_ablation_greedy_search(self, ruleset, monkeypatch):
-        """Past MAX_COMBINATIONS the selector falls back to a greedy
-        per-instance choice; on use case 3 it finds the exhaustive plan,
-        and through the memo it picks what the reference greedy picks."""
-        exhaustive = select(self._pbe_instances(ruleset))
-        monkeypatch.setattr(selector_module, "MAX_COMBINATIONS", 0)
-        diag = Diagnostics()
-
-        greedy = select(self._pbe_instances(ruleset), diagnostics=diag)
-
-        assert greedy.score == exhaustive.score
-        assert [p.labels for p in greedy.instances] == [
-            p.labels for p in exhaustive.instances
-        ]
-        assert any("falling back to greedy" in w.message for w in diag.warnings)
-        oracle = reference_select(self._pbe_instances(ruleset), max_combinations=0)
-        assert plan_view(greedy) == plan_view(oracle)
-
     def test_ablation_value_set_order(self, ruleset):
         """§4: the authors re-ordered `in {..}` sets to steer selection —
         first-of-set is semantic. Reversing the KeyGenerator key-size set
@@ -337,13 +328,74 @@ class TestErrors:
             select(instances)
 
 
-class TestCompiledRuleLookups:
-    def test_hybrid_looks_up_rules_per_instance_not_per_combination(self, generator):
-        """The selector resolves each instance's compiled rule once per
-        chain, so a hybrid's 321 combinations cost no extra lookups."""
-        module = generator.generate_from_file(use_case(6).template_path())
+class TestExactSearch:
+    """The branch-and-bound is exact at any product size."""
 
+    @staticmethod
+    def _encrypt_twice(ruleset):
+        """Two hybrid ``encrypt`` chains back to back: 16**4 = 65,536
+        path combinations."""
+        model = parse_template_file(use_case(6).template_path())
+        (encrypt,) = [m for m in model.primary_class.methods if m.name == "encrypt"]
+        considered = encrypt.chain.considered
+        return GenerationRequest(considered=considered + considered).to_instances(
+            ruleset
+        )
+
+    def test_product_far_past_exhaustive_scan(self, ruleset):
+        context = GenerationContext(ruleset)
+        instances = self._encrypt_twice(ruleset)
+        product = 1
+        for instance in instances:
+            compiled = context.compiled(instance.rule)
+            product *= len(candidate_paths(instance, compiled.paths))
+        assert product == 65_536
+        diag = Diagnostics()
+
+        plan = select(instances, context=context, diagnostics=diag)
+
+        # The score a per-instance greedy choice reached on this chain;
+        # exhaustive scoring of all 65,536 combinations reaches no lower.
+        assert plan.score == (0, 0, 0, 22, 20)
+        encrypt = [("g1", "i1", "gk"), ("g1", "i1", "gi", "f1"), ("gpub",),
+                   ("g1", "i1", "w1")]
+        assert [p.labels for p in plan.instances] == encrypt + encrypt
+        assert [
+            (link.producer, link.consumer, link.consumer_object)
+            for link in plan.active_links
+        ] == [(0, 1, "key"), (2, 3, "key"), (0, 3, "wrap_key"),
+              (4, 5, "key"), (6, 7, "key"), (4, 7, "wrap_key")]
+        assert plan.dropped == ()
+        assert diag.counter(COMBOS_EVALUATED) < 10
+        assert not diag.warnings
+
+    def test_ties_go_to_the_first_combination_in_product_order(self, ruleset):
+        """A bare SecureRandom's ``g1, n1`` and ``g1, gs1`` paths score
+        the same; the search, like the exhaustive scan, keeps the first."""
+        instances = _instances(ruleset, ConsideredRule("repro.jca.SecureRandom"))
+
+        plan = select(instances)
+
+        assert plan.instances[0].labels == ("g1", "n1")
+        assert plan_view(plan) == plan_view(reference_select(instances))
+
+
+class TestCompiledRuleLookups:
+    def test_hybrid_looks_up_rules_per_instance_not_per_combination(self, ruleset):
+        """The selector resolves each instance's compiled rule once per
+        chain, so the combinations it scores cost no extra lookups."""
         assert use_case(6).slug == "hybrid_strings"
-        combos = module.diagnostics.counter(COMBOS_EVALUATED)
-        assert combos == 321
-        assert module.diagnostics.counter("compiled_rules.hits") < combos
+        model = parse_template_file(use_case(6).template_path())
+        context = GenerationContext(ruleset)
+        for method in model.primary_class.methods:
+            instances = method.chain.to_instances(ruleset)
+            links = compute_links(instances, context=context)
+            diag = Diagnostics()
+
+            with Diagnostics().recording() as lookups:
+                select(instances, context=context, diagnostics=diag, links=links)
+
+            assert lookups.counter("compiled_rules.hits") + lookups.counter(
+                "compiled_rules.misses"
+            ) == len(instances)
+            assert diag.counter(COMBOS_EVALUATED) >= 1

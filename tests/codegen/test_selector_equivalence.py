@@ -1,13 +1,15 @@
 """Differential suite: the memoised selector vs. the reference evaluator.
 
 :func:`repro.codegen.selector.select` solves each instance term once per
-call and shares it between every combination with the same key. The
-reference in :mod:`tests.codegen.reference` re-solves every instance of
-every combination from scratch. Both must choose the same plan — the
-same paths, score, active links and drops, and per instance the same
+call, shares it between every combination with the same key and prunes
+the combinations that cannot beat its best plan. The reference in
+:mod:`tests.codegen.reference` scores every combination, re-solving
+every instance from scratch. Both must choose the same plan — the same
+paths, score, active links and drops, and per instance the same
 bindings in the same order, push-ups, deferrals and receiver push — on
-every chain of every bundled template, on chains composed from them,
-and through the greedy fallback as well as the exhaustive search.
+every chain of every bundled template and on chains composed from them.
+Above the product the reference can score in test time, the search must
+still find the exhaustive optimum (:mod:`tests.codegen.test_selector`).
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.codegen.selector as selector_module
 import repro.usecases
 from repro.codegen import (
     ConsideredRule,
@@ -26,7 +27,7 @@ from repro.codegen import (
     GenerationRequest,
     parse_template_source,
 )
-from repro.codegen.selector import GenerationError, select
+from repro.codegen.selector import GenerationError, candidate_paths, select
 from repro.crysl import bundled_ruleset
 
 from ..integration.test_generation_properties import (
@@ -57,23 +58,24 @@ TEMPLATE_CHAINS = [
 ]
 
 
-def _outcome(search, request: GenerationRequest, context, **kwargs):
+def _outcome(search, request: GenerationRequest, context):
     instances = request.to_instances(_CONTEXT.ruleset)
     try:
-        return plan_view(search(instances, context=context, **kwargs))
+        return plan_view(search(instances, context=context))
     except GenerationError:
         return GenerationError
 
 
-def _assert_same_choice(request, monkeypatch, *, greedy=False, context=_CONTEXT):
-    if greedy:
-        monkeypatch.setattr(selector_module, "MAX_COMBINATIONS", 0)
-        expected = _outcome(
-            reference_select, request, context=context, max_combinations=0
-        )
-    else:
-        expected = _outcome(reference_select, request, context=context)
+def _assert_same_choice(request, oracle=reference_select, *, context=_CONTEXT):
+    expected = _outcome(oracle, request, context=context)
     assert _outcome(select, request, context=context) == expected
+
+
+#: The one oracle: every combination scored. Its id names the search
+#: the program must agree with.
+_EXHAUSTIVE = pytest.mark.parametrize(
+    "oracle", [reference_select], ids=["exhaustive"]
+)
 
 
 def test_every_template_chain_is_covered():
@@ -82,21 +84,22 @@ def test_every_template_chain_is_covered():
     }
 
 
-@pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
+@_EXHAUSTIVE
 @pytest.mark.parametrize(
     "request_", [chain for _, chain in TEMPLATE_CHAINS],
     ids=[name for name, _ in TEMPLATE_CHAINS],
 )
-def test_template_chain_matches_reference(request_, greedy, monkeypatch):
-    _assert_same_choice(request_, monkeypatch, greedy=greedy)
+def test_template_chain_matches_reference(request_, oracle):
+    _assert_same_choice(request_, oracle)
 
 
-@pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
-def test_without_context_matches_reference(greedy, monkeypatch):
-    """Without a generation context every rule is enumerated and checked
-    through the uncompiled helpers; the memo must not depend on it."""
+@_EXHAUSTIVE
+def test_without_context_matches_reference(oracle):
+    """Without a generation context the selector compiles each rule
+    afresh while the reference goes through the uncompiled helpers;
+    the plan must not depend on it."""
     for _, chain in TEMPLATE_CHAINS[:6]:
-        _assert_same_choice(chain, monkeypatch, greedy=greedy, context=None)
+        _assert_same_choice(chain, oracle, context=None)
 
 
 @st.composite
@@ -127,10 +130,49 @@ def _composed_requests(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(request_=_composed_requests(), greedy=st.booleans())
-def test_composed_chain_matches_reference(request_, greedy):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_same_choice(request_, monkeypatch, greedy=greedy)
+@given(request_=_composed_requests())
+def test_composed_chain_matches_reference(request_):
+    _assert_same_choice(request_)
+
+
+def _combinations(request: GenerationRequest) -> int:
+    product = 1
+    for instance in request.to_instances(_CONTEXT.ruleset):
+        compiled = _CONTEXT.compiled(instance.rule)
+        product *= len(candidate_paths(instance, compiled.paths))
+    return product
+
+
+def _concatenation(first: GenerationRequest, second: GenerationRequest):
+    return GenerationRequest(considered=first.considered + second.considered)
+
+
+@st.composite
+def _concatenated_requests(draw):
+    """Two template chains back to back: a longer chain whose second
+    half can link to the first, as chains over more rules do."""
+    _, first = draw(st.sampled_from(TEMPLATE_CHAINS))
+    _, second = draw(st.sampled_from(TEMPLATE_CHAINS))
+    return _concatenation(first, second)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    request_=_concatenated_requests().filter(
+        # keeps the exhaustive oracle fast
+        lambda request: _combinations(request) <= 2_000
+    )
+)
+@example(
+    # The best plan is not the first one found, and a bound that
+    # overestimates the rest of the chain prunes it.
+    request_=_concatenation(
+        dict(TEMPLATE_CHAINS)["key_storage.create"],
+        dict(TEMPLATE_CHAINS)["pbe_bytes.decrypt"],
+    )
+)
+def test_concatenated_chains_match_reference(request_):
+    _assert_same_choice(request_)
 
 
 @pytest.mark.parametrize(
@@ -140,5 +182,4 @@ def test_composed_chain_matches_reference(request_, greedy):
 @given(names=_distinct_names)
 def test_property_shapes_match_reference(builder, names):
     for _, chain in _chains_of(builder(names), "fuzz.py"):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _assert_same_choice(chain, monkeypatch)
+        _assert_same_choice(chain)

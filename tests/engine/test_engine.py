@@ -170,6 +170,31 @@ class TestGenerateMany:
         assert "not UTF-8" in bad.error.message
         assert good.ok
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_template_runs_once(self, jobs):
+        """A repeat within one batch is a result-cache hit, pooled or not."""
+        engine = CryptoGenEngine()
+        try:
+            first, repeat = engine.generate_many([TEMPLATE, TEMPLATE], jobs=jobs)
+            runs = engine.context.runs
+        finally:
+            engine.close()
+        assert first.ok and not first.cached
+        assert repeat.ok and repeat.cached
+        assert repeat.module is first.module
+        assert runs == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeats_all_run_without_result_cache(self, jobs):
+        engine = CryptoGenEngine(result_cache_size=0)
+        try:
+            results = engine.generate_many([TEMPLATE, TEMPLATE], jobs=jobs)
+            runs = engine.context.runs
+        finally:
+            engine.close()
+        assert [r.ok and not r.cached for r in results] == [True, True]
+        assert runs == 2
+
     def test_parallel_batches_reuse_one_warm_pool(self):
         engine = CryptoGenEngine()
         first = engine.generate_many([TEMPLATE, TEMPLATE], jobs=2)
