@@ -6,7 +6,7 @@ import pytest
 
 from repro.codegen import CrySLBasedCodeGenerator
 from repro.crysl import bundled_ruleset
-from repro.sast import CrySLAnalyzer
+from repro.sast import ProjectAnalyzer, SummaryCache
 
 
 @pytest.fixture(scope="session")
@@ -21,4 +21,6 @@ def generator(ruleset):
 
 @pytest.fixture(scope="session")
 def analyzer(ruleset):
-    return CrySLAnalyzer(ruleset)
+    # No summary cache: a warm cache would replay every function and
+    # the analysis benchmark would stop running the per-function engine.
+    return ProjectAnalyzer(ruleset, summary_cache=SummaryCache(capacity=0))

@@ -15,7 +15,9 @@ root: ``python -m pytest`` puts the working directory on the path):
   state (a single bit test; the dict walker re-ran a DFS per call);
 * **walker_alloc** — walker allocations/sec, kernel vs. dict;
 * **warm_analysis** — end-to-end analyses/sec of generated use-case
-  modules through a warm analyzer (rules compiled, caches hot).
+  modules through ``ProjectAnalyzer.analyze_sources`` with the rules
+  compiled and the summary cache off, so every function runs the
+  per-function engine.
 
 Every metric lands in ``BENCH_10.json`` at the repo root — written
 even when a gate fails, so CI artifacts always carry the trajectory.
@@ -359,8 +361,8 @@ class TestWarmAnalysis:
         self, generator, analyzer, results, thresholds
     ):
         """Analyses/sec of generated use-case modules through a warm
-        analyzer — rules compiled, kernels built, caches hot. This is
-        the number the resident serve daemon lives on."""
+        analyzer — rules compiled, kernels built, no summary replay —
+        the cost a resident serve daemon pays per re-analyzed module."""
         from repro.usecases import use_case
 
         sources = [
@@ -370,13 +372,13 @@ class TestWarmAnalysis:
             for index in (1, 3, 5)
         ]
         for name, source in sources:
-            result = analyzer.analyze_source(source, name)
-            assert result is not None
+            result = analyzer.analyze_sources({name: source})
+            assert result.modules[name] is not None
 
         def sweep(n):
             for _ in range(n):
                 for name, source in sources:
-                    analyzer.analyze_source(source, name)
+                    analyzer.analyze_sources({name: source})
 
         rate = _best_rate(len(sources), sweep, inner=50)
         results["warm_analysis"] = {

@@ -11,7 +11,7 @@ for the same task.
 
 from __future__ import annotations
 
-from repro import CrySLAnalyzer
+from repro.sast import ProjectAnalyzer
 from repro.usecases import generate_use_case
 
 # The paper's Figure 1, transliterated: runs fine, yet contains a
@@ -33,16 +33,18 @@ def generate_key(pwd):
 
 
 def main() -> None:
-    analyzer = CrySLAnalyzer()
+    analyzer = ProjectAnalyzer()
 
     print("=== analyzing the paper's Figure 1 (hand-written, insecure) ===")
-    result = analyzer.analyze_source(FIGURE_1, "figure1.py")
+    result = analyzer.analyze_sources({"figure1.py": FIGURE_1})
+    result = result.modules["figure1.py"]
     print(result.render())
     assert not result.is_secure
 
     print("\n=== analyzing CogniCryptGEN's output for the same task ===")
     module = generate_use_case(3)  # PBE on byte arrays
-    generated = analyzer.analyze_source(module.source, "generated_pbe.py")
+    generated = analyzer.analyze_sources({"generated_pbe.py": module.source})
+    generated = generated.modules["generated_pbe.py"]
     print(generated.render())
     assert generated.is_secure
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import CrySLBasedCodeGenerator, CrySLAnalyzer, TargetProject
+from repro import CrySLBasedCodeGenerator, TargetProject
+from repro.sast import ProjectAnalyzer
 
 # The template — the paper's Figure 4, in Python. Everything
 # security-relevant (algorithms, iteration counts, salt handling,
@@ -49,7 +50,8 @@ def main() -> None:
     print(f"(generated in {module.elapsed_seconds * 1000:.1f} ms)\n")
 
     print("=== validating with the rule-driven analyzer ===")
-    report = CrySLAnalyzer().analyze_source(module.source, "generated")
+    report = ProjectAnalyzer().analyze_sources({"generated": module.source})
+    report = report.modules["generated"]
     print(report.render(), "\n")
 
     print("=== running the generated code ===")

@@ -28,6 +28,7 @@ from pathlib import Path
 from ..crysl.ruleset import RuleSet
 from ..diagnostics import CHAINS, Diagnostics
 from ..predicates.linker import compute_links
+from ..pysource import parse
 from .context import GenerationContext
 from .emitter import ChainEmitter, EmittedChain, PushedParameter
 from .naming import NameAllocator
@@ -300,7 +301,7 @@ def _visible_names(method: TemplateMethod) -> set[str]:
 
 
 def _parse_statements(lines: list[str]) -> list[pyast.stmt]:
-    return pyast.parse("\n".join(lines)).body if lines else []
+    return parse("\n".join(lines)).body if lines else []
 
 
 def _rewrite_method(
@@ -481,7 +482,7 @@ def _build_template_usage(
                     )
                 )
             ]
-            + pyast.parse(body_source).body
+            + parse(body_source).body
         ),
         decorator_list=[],
     )

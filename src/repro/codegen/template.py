@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..predicates.instances import TemplateBinding
+from ..pysource import parse
 from .fluent import ConsideredRule, GenerationRequest
 
 
@@ -326,7 +327,7 @@ def _parse_method(cls_name: str, function: pyast.FunctionDef) -> TemplateMethod:
 
 def parse_template_source(source: str, path: str = "<template>") -> TemplateModel:
     """Parse template source text into a :class:`TemplateModel`."""
-    module = pyast.parse(source, filename=path)
+    module = parse(source, path)
     model = TemplateModel(path=path, source=source, module=module)
     for node in module.body:
         if isinstance(node, pyast.ClassDef):

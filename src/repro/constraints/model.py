@@ -95,10 +95,6 @@ class Environment:
             return UNKNOWN
         return binding.value
 
-    def type_of(self, name: str) -> str | None:
-        binding = self._bindings.get(name)
-        return binding.type_name if binding else None
-
     def length_of(self, name: str) -> int | None:
         binding = self._bindings.get(name)
         if binding is None:

@@ -197,30 +197,3 @@ class ValueDeriver:
             if self._evaluator(trial).evaluate_all(self._rule.constraints) is not False:
                 return candidate.value
         raise UnsatisfiableError(object_name, self._rule.class_name)
-
-    def derive_all(self, object_names: list[str]) -> dict[str, object]:
-        """Derive values for several objects with a simple fixpoint.
-
-        Objects whose constraints depend on other objects' values (the
-        Cipher ``transformation`` behind an ``instanceof`` guard) may
-        only become derivable once their dependencies are bound, so we
-        sweep until no progress is made.
-        """
-        remaining = list(object_names)
-        derived: dict[str, object] = {}
-        progress = True
-        while remaining and progress:
-            progress = False
-            for name in list(remaining):
-                try:
-                    value = self.derive(name)
-                except UnderconstrainedError:
-                    continue
-                derived[name] = value
-                self._env.bind(Binding(name, BindingSource.DERIVED, value=value))
-                remaining.remove(name)
-                progress = True
-        for name in remaining:
-            # Leave a definitive error for the caller (push-up fallback).
-            raise UnderconstrainedError(name, self._rule.class_name)
-        return derived

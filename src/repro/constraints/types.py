@@ -76,14 +76,6 @@ class TypeRegistry:
             return None
         return issubclass(sub, sup)
 
-    def type_of_value(self, value: object) -> str:
-        """The qualified CrySL type name for a runtime value."""
-        cls = type(value)
-        for name, primitive in _PRIMITIVES.items():
-            if cls is primitive:
-                return name
-        return f"{cls.__module__}.{cls.__qualname__}"
-
 
 @lru_cache(maxsize=1)
 def default_registry() -> TypeRegistry:

@@ -491,14 +491,6 @@ class Rule:
             expanded.extend(self.expand_label(member))
         return tuple(expanded)
 
-    def events_for_label(self, label: str) -> tuple[Event, ...]:
-        """All concrete events behind a (possibly aggregate) label."""
-        out = []
-        for concrete in self.expand_label(label):
-            event = self.event_labelled(concrete)
-            if event is not None:
-                out.append(event)
-        return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -190,11 +190,6 @@ class BreakerRegistry:
         self.diagnostics.count(BREAKER_RESETS)
         return dropped
 
-    def state_of(self, key: tuple[str, str]) -> str:
-        with self._lock:
-            breaker = self._breakers.get(key)
-            return breaker.state if breaker is not None else CLOSED
-
     def to_dict(self) -> dict:
         """A JSON snapshot for ``health``/``stats``."""
         with self._lock:

@@ -26,7 +26,7 @@ from statistics import mean
 
 from ..codegen import CrySLBasedCodeGenerator, GenerationContext
 from ..engine import CryptoGenEngine
-from ..sast import CrySLAnalyzer, ProjectAnalyzer
+from ..sast import ProjectAnalyzer
 from ..usecases import USE_CASES, UseCase
 from .report import render_table
 
@@ -50,7 +50,7 @@ def measure_use_case(
     use_case: UseCase,
     runs: int = 10,
     generator: CrySLBasedCodeGenerator | None = None,
-    analyzer: "CrySLAnalyzer | ProjectAnalyzer | None" = None,
+    analyzer: ProjectAnalyzer | None = None,
     *,
     engine: CryptoGenEngine | None = None,
 ) -> Table1Row:
@@ -59,10 +59,8 @@ def measure_use_case(
     With ``engine`` the row is measured through a resident
     :class:`~repro.engine.CryptoGenEngine` (the ``run_table1`` path);
     otherwise ``generator``/``analyzer`` are used directly, defaulting
-    to cold instances. ``analyzer`` may be the single-module
-    :class:`CrySLAnalyzer` or the interprocedural
-    :class:`ProjectAnalyzer`; the latter is the default and matches
-    what ``generate --verify`` gates on.
+    to cold instances. ``analyzer`` is a :class:`ProjectAnalyzer`, the
+    analysis ``generate --verify`` gates on.
     """
     if engine is not None:
         generator = generator or engine.generator
@@ -77,10 +75,7 @@ def measure_use_case(
     except SyntaxError:
         compiles = False
     key = f"{use_case.slug}.py"
-    if hasattr(analyzer, "analyze_sources"):
-        result = analyzer.analyze_sources({key: module.source})
-    else:
-        result = analyzer.analyze_source(module.source, key)
+    result = analyzer.analyze_sources({key: module.source})
     sast_clean = result.is_secure
 
     timings = []

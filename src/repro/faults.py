@@ -204,11 +204,6 @@ def reset() -> None:
     configure(None)
 
 
-def enabled() -> bool:
-    """True when any point has a nonzero probability."""
-    return bool(active().probabilities)
-
-
 # ---------------------------------------------------------------------------
 # the injection helpers (one per failure mode)
 # ---------------------------------------------------------------------------

@@ -173,9 +173,6 @@ class DfaKernel:
         """Can an accepting state still be reached from ``state``?"""
         return bool(self.live_mask >> state & 1)
 
-    def is_dead(self, state: int) -> bool:
-        return state == self.dead
-
     def expected_symbols(self, state: int) -> frozenset[str]:
         return self.expected[state]
 

@@ -57,9 +57,6 @@ class RuleInstance:
     #: request builder (default 0).
     index_within_rule: int = 0
 
-    def bound_rule_vars(self) -> frozenset[str]:
-        return frozenset(self.bindings)
-
     def creation_events(self) -> tuple[ast.Event, ...]:
         """Events that create/produce the receiver: constructors and
         ``this = factory(...)`` events."""
@@ -68,9 +65,6 @@ class RuleInstance:
             for event in self.rule.events
             if event.is_constructor or event.result == "this"
         )
-
-    def has_creation_event(self) -> bool:
-        return bool(self.creation_events())
 
     def __repr__(self) -> str:
         return f"<RuleInstance #{self.index} {self.rule.simple_name}>"

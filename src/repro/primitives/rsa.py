@@ -14,7 +14,6 @@ from typing import Callable
 from .ct import constant_time_equals
 from .errors import (
     InvalidPadding,
-    InvalidSignature,
     MessageTooLong,
     ParameterError,
 )
@@ -318,8 +317,3 @@ def _pkcs1v15_encode(message: bytes, em_len: int, algorithm: str) -> bytes:
         raise MessageTooLong("intended encoded message length too short")
     return b"\x00\x01" + b"\xff" * (em_len - len(t) - 3) + b"\x00" + t
 
-
-def verify_or_raise(ok: bool) -> None:
-    """Convert a boolean verification result into an exception."""
-    if not ok:
-        raise InvalidSignature("signature verification failed")

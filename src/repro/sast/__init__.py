@@ -5,12 +5,14 @@ against the same CrySL rules the generator consumes, reporting
 typestate violations, incomplete operations, constraint violations,
 forbidden methods and unsatisfied required predicates.
 
-:class:`CrySLAnalyzer` is the per-module (intraprocedural) checker;
-:class:`ProjectAnalyzer` analyzes whole directories interprocedurally
-via a call graph and per-function summaries — memoized across runs by
-the content-addressed :class:`SummaryCache` — and :func:`to_sarif`
-exports any result as SARIF 2.1.0 with stable
-:mod:`~repro.sast.fingerprint` identities and in-source suppressions.
+``ProjectAnalyzer.analyze_sources`` is the one entry point: it
+analyzes a ``{module key: source}`` mapping — one module or a whole
+directory — interprocedurally via a call graph and per-function
+summaries, memoized across runs by the content-addressed
+:class:`SummaryCache`. :class:`CrySLAnalyzer` holds the compiled rules
+and the per-function engine it runs. :func:`to_sarif` exports any
+result as SARIF 2.1.0 with stable :mod:`~repro.sast.fingerprint`
+identities and in-source suppressions.
 """
 
 from .analysis import CrySLAnalyzer

@@ -17,32 +17,31 @@ Semantics (matching Krüger et al., ECOOP 2018):
 * NEGATES withdraws a predicate when an invalidating event runs;
 * REQUIRES is violated only when the supplied argument is *locally
   deterministic* (a literal, a fresh zero buffer, or a tracked object
-  lacking the predicate); values of unknown provenance — function
-  parameters, slices of inputs — are waived, as an intraprocedural
-  analysis cannot judge them.
+  lacking the predicate); an obligation on one of the function's own
+  parameters moves into its summary, for its callers to judge.
 
-The same per-function engine also powers the whole-project analyzer
-(:mod:`repro.sast.project`). In that mode, helper calls resolved
-through the call graph are *replayed* from the callee's
-:class:`~repro.sast.summaries.FunctionSummary` instead of waived:
-typestate labels flow into the caller's walkers, predicates are
-granted/negated across the boundary, waived REQUIRES obligations are
-re-checked against the caller's arguments, and returned rule-covered
-objects become tracked at the call site.
+This module holds the per-function engine; the whole-project analyzer
+(:mod:`repro.sast.project`, whose ``analyze_sources`` is the one entry
+point) runs it callees-first. Helper calls resolved through the call
+graph are *replayed* from the callee's
+:class:`~repro.sast.summaries.FunctionSummary`: typestate labels flow
+into the caller's walkers, predicates are granted/negated across the
+boundary, waived REQUIRES obligations are re-checked against the
+caller's arguments, and returned rule-covered objects become tracked at
+the call site.
 """
 
 from __future__ import annotations
 
-import ast as pyast
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..constraints import Binding, BindingSource, ConstraintEvaluator, Environment
 from ..constraints.types import TypeRegistry, default_registry
 from ..crysl import ast as crysl_ast
 from ..crysl.ruleset import RuleSet, bundled_ruleset
 from ..fsm import KernelWalker
-from .ir import ArgFact, CallRecord, FunctionIR, HelperCall, ObjectTrace, lift_module
+from .ir import ArgFact, CallRecord, FunctionIR, HelperCall, ObjectTrace
+from .ir import lift_module  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .report import AnalysisResult, Finding, FindingKind
 from .summaries import (
     ForwardedBinding,
@@ -93,7 +92,12 @@ class CrySLAnalyzer:
             rule.simple_name: self._ruleset.compiled(rule).kernel
             for rule in self._ruleset
         }
-        self._result_classes = self._compute_result_classes()
+        self._result_types = self._compute_result_types()
+        self._result_classes = {
+            key: simple
+            for key, declared in self._result_types.items()
+            if (simple := declared.rsplit(".", 1)[-1]) in self._rules_by_simple
+        }
         self._signatures = {
             rule.simple_name: self._ruleset.compiled(rule).events_by_signature
             for rule in self._ruleset
@@ -117,65 +121,43 @@ class CrySLAnalyzer:
         """(class, method, arity) -> rule-covered result class."""
         return self._result_classes
 
-    def _compute_result_classes(self) -> dict[tuple[str, str, int], str]:
-        """(class, method, arity) -> result class, for factory products."""
+    @property
+    def result_types(self) -> dict[tuple[str, str, int], str]:
+        """(class, method, arity) -> the result's declared CrySL type,
+        rule-covered or not (``repro.jca.PublicKey``, ``bytes``)."""
+        return self._result_types
+
+    def _compute_result_types(self) -> dict[tuple[str, str, int], str]:
         out: dict[tuple[str, str, int], str] = {}
         for rule in self._ruleset:
             for event in rule.events:
                 if event.result is None or event.result == "this":
                     continue
                 declared = rule.object_named(event.result)
-                if declared is None:
-                    continue
-                simple = declared.type_name.rsplit(".", 1)[-1]
-                if simple in self._rules_by_simple:
-                    out[(rule.simple_name, event.method_name, event.arity)] = simple
+                if declared is not None:
+                    key = (rule.simple_name, event.method_name, event.arity)
+                    out[key] = declared.type_name
         return out
 
     # ------------------------------------------------------------------
-
-    def analyze_source(self, source: str, name: str = "<module>") -> AnalysisResult:
-        """Analyze Python source text; returns all findings."""
-        module = pyast.parse(source, filename=name)
-        result = AnalysisResult()
-        lifted = lift_module(
-            module,
-            set(self._rules_by_simple),
-            self._result_classes,
-            module_name=name,
-            file=name,
-        )
-        for function_ir in lifted:
-            self.analyze_ir(function_ir, result)
-        return result
-
-    def analyze_file(self, path: str | Path) -> AnalysisResult:
-        path = Path(path)
-        return self.analyze_source(path.read_text(encoding="utf-8"), str(path))
 
     def analyze_ir(
         self,
         ir: FunctionIR,
         result: AnalysisResult,
         *,
-        interproc: "SummaryProvider | None" = None,
+        interproc: "SummaryProvider",
         defer_returns: bool = False,
-        collect_summary: bool = False,
-    ) -> FunctionSummary | None:
-        """Run the per-function engine; optionally interprocedural."""
+    ) -> FunctionSummary:
+        """Run the per-function engine; returns the function's summary."""
         engine = _FunctionEngine(
-            self,
-            ir,
-            result,
-            interproc=interproc,
-            defer_returns=defer_returns,
-            collect_summary=collect_summary,
+            self, ir, result, interproc=interproc, defer_returns=defer_returns
         )
         return engine.run()
 
 
 class SummaryProvider:
-    """Resolves a helper call to its callee's summary (project mode)."""
+    """Resolves a helper call to its callee's summary."""
 
     def summary_for(
         self, ir: FunctionIR, call: HelperCall
@@ -186,10 +168,9 @@ class SummaryProvider:
 class _FunctionEngine:
     """The per-function analysis: one timeline over every tracked object.
 
-    In legacy (intraprocedural) mode helper calls are opaque. In project
-    mode they are resolved through ``interproc`` and their summaries
-    replayed; the engine can simultaneously build this function's own
-    summary for *its* callers.
+    Helper calls are resolved through ``interproc`` and their summaries
+    replayed; meanwhile the engine builds this function's own summary
+    for *its* callers.
     """
 
     def __init__(
@@ -198,22 +179,17 @@ class _FunctionEngine:
         ir: FunctionIR,
         result: AnalysisResult,
         *,
-        interproc: SummaryProvider | None = None,
+        interproc: SummaryProvider,
         defer_returns: bool = False,
-        collect_summary: bool = False,
     ):
         self._analyzer = analyzer
         self._ir = ir
         self._result = result
         self._interproc = interproc
         self._defer_returns = defer_returns
-        self._summary = (
-            FunctionSummary(
-                module=ir.module, qualname=ir.qualname or ir.name,
-                param_names=ir.param_names,
-            )
-            if collect_summary
-            else None
+        self._summary = FunctionSummary(
+            module=ir.module, qualname=ir.qualname or ir.name,
+            param_names=ir.param_names,
         )
         self._states: list[_TraceState] = []
         #: current name -> state binding (follows creation order)
@@ -230,7 +206,7 @@ class _FunctionEngine:
 
     # -- construction ---------------------------------------------------
 
-    def run(self) -> FunctionSummary | None:
+    def run(self) -> FunctionSummary:
         ir = self._ir
         for trace in ir.objects:
             self._adopt(trace)
@@ -263,8 +239,7 @@ class _FunctionEngine:
             if not deferred:
                 self._finalize_trace(state)
 
-        if self._summary is not None:
-            self._build_summary(returned)
+        self._build_summary(returned)
         return self._summary
 
     def _adopt(self, trace: ObjectTrace) -> _TraceState:
@@ -402,7 +377,7 @@ class _FunctionEngine:
         )
         self._adopt(product)
 
-    # -- checks (shared between both modes) ----------------------------
+    # -- checks --------------------------------------------------------
 
     def _check_forbidden(
         self, rule: crysl_ast.Rule, trace: ObjectTrace, record: CallRecord
@@ -452,8 +427,6 @@ class _FunctionEngine:
         """Event parameters bound straight from this function's own
         parameters carry no local facts; exporting them in the summary
         lets a caller with a concrete value judge the constraints."""
-        if self._summary is None:
-            return
         for param, arg in zip(event.params, record.args):
             if param.is_wildcard or param.is_this:
                 continue
@@ -492,12 +465,9 @@ class _FunctionEngine:
         self, state: _TraceState, record: CallRecord
     ) -> None:
         if state.trace.from_parameter:
-            # Unknown provenance locally — but in project mode the
-            # obligation is pushed up to every caller.
-            if (
-                self._summary is not None
-                and state.trace.variable in self._ir.param_names
-            ):
+            # Unknown provenance locally: the obligation is pushed up
+            # to every caller.
+            if state.trace.variable in self._ir.param_names:
                 index = self._ir.param_names.index(state.trace.variable)
                 for group in state.rule.requires:
                     this_alternatives = [
@@ -593,7 +563,7 @@ class _FunctionEngine:
                     column=record.column,
                     end_line=record.end_line,
                 )
-            elif self._summary is not None:
+            else:
                 # Unjudgeable because the argument is our own parameter:
                 # the obligation moves to the caller.
                 for alternative, arg in relevant:
@@ -631,7 +601,7 @@ class _FunctionEngine:
 
     def _grant(self, target: str, name: str) -> None:
         self._held.setdefault(target, set()).add(name)
-        if self._summary is not None and target in self._ir.param_names:
+        if target in self._ir.param_names:
             index = self._ir.param_names.index(target)
             self._param_grants.setdefault(index, set()).add(name)
 
@@ -655,7 +625,7 @@ class _FunctionEngine:
 
     def _negate(self, target: str, name: str) -> None:
         self._held.get(target, set()).discard(name)
-        if self._summary is not None and target in self._ir.param_names:
+        if target in self._ir.param_names:
             index = self._ir.param_names.index(target)
             negations = self._param_negates.setdefault(index, [])
             if name not in negations:
@@ -702,8 +672,6 @@ class _FunctionEngine:
                 )
                 self._process_record(state, record)
                 return
-        if self._interproc is None:
-            return
         summary = self._interproc.summary_for(self._ir, call)
         if summary is None or summary.is_identity:
             return
@@ -811,11 +779,7 @@ class _FunctionEngine:
                     column=call.column,
                     end_line=call.end_line,
                 )
-            elif (
-                self._summary is not None
-                and arg.var is not None
-                and arg.var in self._ir.param_names
-            ):
+            elif arg.var is not None and arg.var in self._ir.param_names:
                 self._requires_seen.add(
                     (
                         self._ir.param_names.index(arg.var),
@@ -834,11 +798,7 @@ class _FunctionEngine:
                 arg.is_literal or arg.value is not None or arg.length is not None
             )
             if not has_facts:
-                if (
-                    self._summary is not None
-                    and arg.var is not None
-                    and arg.var in self._ir.param_names
-                ):
+                if arg.var is not None and arg.var in self._ir.param_names:
                     self._forwarded_seen.setdefault(
                         (
                             self._ir.param_names.index(arg.var),
@@ -931,7 +891,6 @@ class _FunctionEngine:
 
     def _build_summary(self, returned: set[str]) -> None:
         summary = self._summary
-        assert summary is not None
         ir = self._ir
         for state in self._states:
             if (

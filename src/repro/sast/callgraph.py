@@ -7,13 +7,12 @@ including ones instantiated in a *different* module — class names are
 resolved project-wide), and bare ``helper(...)`` calls to module-level
 functions. Anything that cannot be resolved to exactly one project
 function stays unresolved, and the analyzer treats the call as opaque
-glue — exactly what the intraprocedural analyzer did for every call.
+glue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .ir import FunctionIR, HelperCall
 
@@ -148,27 +147,6 @@ class CallGraph:
         call gets.
         """
         return [ref for component in self.condensation() for ref in component]
-
-    def invalidation_cone(
-        self, changed: "Iterable[FunctionRef]"
-    ) -> set[FunctionRef]:
-        """Every function whose analysis may depend on ``changed`` ones.
-
-        The cone is the changed functions plus their transitive
-        callers. Members of a strongly connected component are mutual
-        (transitive) callers, so a change to any member pulls in the
-        whole cycle — exactly the set the summary cache re-keys when a
-        file is edited.
-        """
-        cone: set[FunctionRef] = set()
-        frontier = [ref for ref in changed if ref in self.functions]
-        while frontier:
-            ref = frontier.pop()
-            if ref in cone:
-                continue
-            cone.add(ref)
-            frontier.extend(self.reverse_edges.get(ref, ()))
-        return cone
 
     def _tarjan(self) -> list[list[FunctionRef]]:
         """Tarjan's SCC algorithm, iterative, deterministic order."""

@@ -110,17 +110,6 @@ def compute_fingerprints(
     return fingerprints
 
 
-def project_fingerprints(
-    modules: "Mapping[str, AnalysisResult]", *, root: str | Path | None = None
-) -> dict[int, str]:
-    """Fingerprints for every finding of a project report, keyed by
-    ``id()`` of the finding (frozen dataclasses with identical fields
-    compare equal, so object identity is the only safe key)."""
-    ordered = [f for result in modules.values() for f in result.findings]
-    prints = compute_fingerprints(ordered, root=root)
-    return {id(f): fp for f, fp in zip(ordered, prints)}
-
-
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------

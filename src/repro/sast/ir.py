@@ -8,11 +8,10 @@ together with statically-evident facts about the arguments.
 Beyond the rule-covered traces, the lifter also records **helper
 calls** — calls whose receiver is *not* a rule-covered object: bare
 function calls, ``self.method(...)``, and method calls on instances of
-project-defined classes. The intraprocedural analyzer ignores them;
-the whole-project analyzer (:mod:`repro.sast.project`) resolves them
-through the call graph and applies the callee's summary, which is how
-tracked objects flow through wrapper methods and
-``template_usage()``.
+project-defined classes. The whole-project analyzer
+(:mod:`repro.sast.project`) resolves them through the call graph and
+applies the callee's summary, which is how tracked objects flow through
+wrapper methods and ``template_usage()``.
 
 Aliasing is object-based: every variable name is *bound* to the
 :class:`ObjectTrace` it currently denotes, so ``alias = c`` followed by
@@ -76,13 +75,13 @@ class ObjectTrace:
     #: 1-based column of the creating expression (0 = unknown)
     created_column: int = 0
     #: name of the helper call that produced this object, when it was
-    #: adopted from a callee's summary (interprocedural analysis only)
+    #: adopted from a callee's summary
     origin: str | None = None
 
 
 @dataclass
 class HelperCall:
-    """A call the intraprocedural analysis treats as opaque glue.
+    """A call on a receiver that is not a rule-covered object.
 
     The whole-project analyzer resolves these through the call graph:
     ``receiver_class`` names the (project-defined) class of the
@@ -144,7 +143,10 @@ class _FunctionLifter:
     ``result_classes`` maps ``(receiver class, method, arity)`` to the
     class of the call's result when that result is itself rule-covered
     (e.g. ``SecretKeyFactory.generate_secret`` yields a ``SecretKey``),
-    so factory products become tracked objects too.
+    so factory products become tracked objects too. ``result_types``
+    maps the same keys to the result's declared type, rule-covered or
+    not: a ``KeyPair.get_public()`` result is typed
+    ``repro.jca.PublicKey``, which ``instanceof`` constraints read.
     """
 
     def __init__(
@@ -153,6 +155,7 @@ class _FunctionLifter:
         tracked_classes: set[str],
         result_classes: dict[tuple[str, str, int], str] | None = None,
         *,
+        result_types: dict[tuple[str, str, int], str] | None = None,
         owner: str | None = None,
         project_classes: frozenset[str] = frozenset(),
         module_name: str = "<module>",
@@ -161,6 +164,7 @@ class _FunctionLifter:
         self._function = function
         self._tracked = tracked_classes
         self._result_classes = result_classes or {}
+        self._result_types = result_types or {}
         self._owner = owner
         self._project_classes = project_classes
         self._ir = FunctionIR(
@@ -251,6 +255,8 @@ class _FunctionLifter:
                     self._statement(child)
 
     def _assignment(self, target: str, value: pyast.expr, line: int) -> None:
+        # The old value's type goes with it; the new value sets its own.
+        self._ir.types.pop(target, None)
         if isinstance(value, pyast.Name):
             trace = self._trace_for(value.id)
             if trace is not None:
@@ -335,9 +341,11 @@ class _FunctionLifter:
                 trace.calls.append(record)
                 if result_var is not None:
                     self._ir.results[result_var] = (trace.variable, func.attr)
-                    result_class = self._result_classes.get(
-                        (trace.class_name, func.attr, len(args))
-                    )
+                    event = (trace.class_name, func.attr, len(args))
+                    declared = self._result_types.get(event)
+                    if declared is not None:
+                        self._ir.types[result_var] = declared
+                    result_class = self._result_classes.get(event)
                     if result_class is not None:
                         # A rule-covered factory product: track it
                         # (with no creation event of its own).
@@ -484,6 +492,7 @@ def lift_module(
     tracked_classes: set[str],
     result_classes: dict[tuple[str, str, int], str] | None = None,
     *,
+    result_types: dict[tuple[str, str, int], str] | None = None,
     project_classes: frozenset[str] = frozenset(),
     module_name: str = "<module>",
     file: str = "<module>",
@@ -499,6 +508,7 @@ def lift_module(
                         node,
                         tracked_classes,
                         result_classes,
+                        result_types=result_types,
                         owner=owner,
                         project_classes=project_classes,
                         module_name=module_name,

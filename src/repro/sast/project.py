@@ -39,6 +39,7 @@ from ..diagnostics import (
     SUMMARY_STORES,
     Diagnostics,
 )
+from ..pysource import parse
 from ..trace import span as trace_span
 from .analysis import CrySLAnalyzer, SummaryProvider
 from .callgraph import CallGraph, FunctionRef, ref_of
@@ -158,11 +159,12 @@ class ProjectAnalyzer:
         tasks on that pool.
         """
         sources = dict(sources)
+        parsed = parse_modules(sources)
         if pool is not None and len(sources) > 1:
-            components = _components(sources)
+            components = _components(sources, parsed)
             if len(components) > 1:
                 return self._analyze_parallel(sources, components, pool)
-        result, run_diag = self._analyze_serial(sources)
+        result, run_diag = self._analyze_serial(sources, parsed)
         self.diagnostics.merge(run_diag)
         return result
 
@@ -171,7 +173,7 @@ class ProjectAnalyzer:
     # ------------------------------------------------------------------
 
     def _analyze_serial(
-        self, sources: dict[str, str]
+        self, sources: dict[str, str], parsed: dict[str, pyast.Module]
     ) -> tuple[ProjectAnalysisResult, Diagnostics]:
         analyzer = self._analyzer
         cache = self.summary_cache
@@ -179,10 +181,6 @@ class ProjectAnalyzer:
         for key in (SUMMARY_HITS, SUMMARY_MISSES, SUMMARY_STORES):
             diag.count(key, 0)  # every run reports these, zero or not
         with trace_span("sast:lift"):
-            parsed = {
-                key: pyast.parse(text, filename=key)
-                for key, text in sources.items()
-            }
             project_classes = frozenset(
                 node.name
                 for module in parsed.values()
@@ -196,6 +194,7 @@ class ProjectAnalyzer:
                         module,
                         analyzer.tracked_classes,
                         analyzer.result_classes,
+                        result_types=analyzer.result_types,
                         project_classes=project_classes,
                         module_name=key,
                         file=key,
@@ -237,10 +236,8 @@ class ProjectAnalyzer:
                     scratch,
                     interproc=provider,
                     defer_returns=graph.has_callers(ref),
-                    collect_summary=True,
                 )
-                if summary is not None:
-                    summaries[ref] = summary
+                summaries[ref] = summary
                 cache.store(
                     keys[ref],
                     CachedFunctionAnalysis(
@@ -330,11 +327,19 @@ class ProjectAnalyzer:
 
 
 # ---------------------------------------------------------------------------
-# module partitioning
+# parsing and module partitioning
 # ---------------------------------------------------------------------------
 
 
-def _components(sources: dict[str, str]) -> list[dict[str, str]]:
+def parse_modules(sources: Mapping[str, str]) -> dict[str, pyast.Module]:
+    """Parse every module of a project once, keyed like ``sources``."""
+    with trace_span("sast:lift"):
+        return {key: parse(text, key) for key, text in sources.items()}
+
+
+def _components(
+    sources: dict[str, str], parsed: dict[str, pyast.Module]
+) -> list[dict[str, str]]:
     """Connected components of the module-dependency over-approximation.
 
     Modules are joined when one references a top-level name the other
@@ -345,8 +350,7 @@ def _components(sources: dict[str, str]) -> list[dict[str, str]]:
     keys = list(sources)
     defined: dict[str, set[str]] = {}
     referenced: dict[str, set[str]] = {}
-    for key, text in sources.items():
-        module = pyast.parse(text, filename=key)
+    for key, module in parsed.items():
         defined[key] = {
             node.name
             for node in module.body

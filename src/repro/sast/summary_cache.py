@@ -60,7 +60,7 @@ from .summaries import FunctionSummary
 #: analyzer semantics baked into it. Bump on any change to the
 #: per-function engine, the summary shapes, the lifter, or the Finding
 #: dataclass; old entries then miss and are recomputed.
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 _SUFFIX = ".summary.pkl"
 

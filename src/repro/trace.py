@@ -120,11 +120,6 @@ class Trace:
         }
 
 
-def current_trace() -> Trace | None:
-    """The trace active on this context, if any."""
-    return _ACTIVE.get()
-
-
 @contextmanager
 def activate(trace: Trace) -> Iterator[Trace]:
     """Make ``trace`` the active trace for the dynamic extent."""

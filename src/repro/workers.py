@@ -51,7 +51,7 @@ from .diagnostics import (
     SUPERVISOR_RETRIES,
     Diagnostics,
 )
-from .sast.project import ProjectAnalyzer
+from .sast.project import ProjectAnalyzer, parse_modules
 from .sast.summary_cache import SummaryCache
 from .trace import event as trace_event
 
@@ -125,8 +125,9 @@ class TaskRunner:
         """Run one task; recoverable template errors become data."""
         if task[0] == COMPONENT:
             _, items, summary_dir = task
+            sources = dict(items)
             result, diag = self._analyzer(summary_dir)._analyze_serial(
-                dict(items)
+                sources, parse_modules(sources)
             )
             return TaskOutcome(index, result, None, dict(diag.counters))
         _, text, name, verify = task

@@ -6,7 +6,7 @@ import pytest
 
 from repro.codegen import CrySLBasedCodeGenerator, TargetProject
 from repro.crysl import bundled_ruleset
-from repro.sast import CrySLAnalyzer
+from repro.sast import ProjectAnalyzer
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +23,8 @@ def generator(ruleset):
 
 @pytest.fixture(scope="session")
 def analyzer(ruleset):
-    """The rule-driven static analyzer."""
-    return CrySLAnalyzer(ruleset)
+    """The rule-driven static analyzer (its one entry: ``analyze_sources``)."""
+    return ProjectAnalyzer(ruleset)
 
 
 @pytest.fixture(scope="session")

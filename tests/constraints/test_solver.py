@@ -92,18 +92,6 @@ class TestFailureModes:
             _deriver("x in {5};\n x >= 10;").derive("x")
 
 
-class TestDeriveAll:
-    def test_dependency_order_via_fixpoint(self):
-        """`s` gates `x`: the sweep must derive `s` first."""
-        deriver = _deriver('s in {"AES"};\n s == "AES" => x in {128};')
-        assert deriver.derive_all(["x", "s"]) == {"s": "AES", "x": 128}
-
-    def test_raises_on_stuck_object(self):
-        deriver = _deriver("x in {1};")
-        with pytest.raises(UnderconstrainedError):
-            deriver.derive_all(["x", "s"])
-
-
 class TestCipherRule:
     """The real Cipher rule's instanceof-guarded derivation."""
 

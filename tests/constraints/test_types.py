@@ -49,15 +49,6 @@ def test_subtype_unknown_is_none():
     assert registry.is_subtype("no.such.Type", "repro.jca.SecretKey") is None
 
 
-def test_type_of_value():
-    registry = TypeRegistry()
-    assert registry.type_of_value(42) == "int"
-    assert registry.type_of_value(b"") == "bytes"
-    assert registry.type_of_value(SecretKeySpec(b"\x01" * 16, "AES")).endswith(
-        "SecretKeySpec"
-    )
-
-
 def test_default_registry_is_cached():
     assert default_registry() is default_registry()
 

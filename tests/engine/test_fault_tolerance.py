@@ -127,7 +127,7 @@ class TestFaultPlan:
 
     def test_unconfigured_helpers_are_noops(self):
         faults.configure(None)
-        assert not faults.enabled()
+        assert not faults.active().probabilities
         faults.maybe_crash()
         faults.maybe_raise_os()
         faults.maybe_sleep()
@@ -136,7 +136,6 @@ class TestFaultPlan:
     def test_environment_spec_is_lazily_loaded(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "slow_task:1.0,seed=1")
         faults.reset()
-        assert faults.enabled()
         assert faults.active().probabilities == {"slow_task": 1.0}
 
     def test_configure_raises_on_demand(self):
@@ -434,9 +433,10 @@ class TestParallelAnalysisPool:
     ):
         from repro.engine import AnalyzeRequest
         from repro.sast import to_sarif
-        from repro.sast.project import _components
+        from repro.sast.project import _components, parse_modules
 
-        assert len(_components(COMPONENT_SOURCES)) == 2
+        parsed = parse_modules(COMPONENT_SOURCES)
+        assert len(_components(COMPONENT_SOURCES, parsed)) == 2
         # seed=1 fires on each worker's first draw, so every pool
         # incarnation crashes: the supervisor restarts, then degrades.
         monkeypatch.setenv(faults.FAULTS_ENV, "worker_crash:0.5,seed=1")
@@ -494,6 +494,14 @@ class TestParallelAnalysisPool:
 # ---------------------------------------------------------------------------
 
 
+def _breaker_state(registry: BreakerRegistry, key: tuple[str, str]) -> str:
+    """A breaker's state as the ``health``/``stats`` snapshot reports it."""
+    for entry in registry.to_dict()["open"]:
+        if (entry["op"], entry["fingerprint"]) == (key[0], key[1][:12]):
+            return entry["state"]
+    return "closed"
+
+
 class TestBreakerRegistry:
     KEY = ("generate", "a" * 64)
 
@@ -507,7 +515,7 @@ class TestBreakerRegistry:
         registry.record_failure(self.KEY)
         registry.admit(self.KEY)  # still closed
         registry.record_failure(self.KEY)
-        assert registry.state_of(self.KEY) == "open"
+        assert _breaker_state(registry, self.KEY) == "open"
         with pytest.raises(CircuitOpenError) as excinfo:
             registry.admit(self.KEY)
         assert excinfo.value.retry_after_ms > 0
@@ -517,7 +525,7 @@ class TestBreakerRegistry:
         registry.record_failure(self.KEY)
         registry.record_success(self.KEY)
         registry.record_failure(self.KEY)
-        assert registry.state_of(self.KEY) == "closed"
+        assert _breaker_state(registry, self.KEY) == "closed"
 
     def test_half_open_admits_one_probe_then_closes_on_success(self):
         registry = BreakerRegistry(
@@ -526,12 +534,12 @@ class TestBreakerRegistry:
         self._tripped(registry)
         time.sleep(0.02)
         registry.admit(self.KEY)  # the probe slot
-        assert registry.state_of(self.KEY) == "half-open"
+        assert _breaker_state(registry, self.KEY) == "half-open"
         # A second caller while the probe is in flight still fails fast.
         with pytest.raises(CircuitOpenError):
             registry.admit(self.KEY)
         registry.record_success(self.KEY)
-        assert registry.state_of(self.KEY) == "closed"
+        assert _breaker_state(registry, self.KEY) == "closed"
         registry.admit(self.KEY)
 
     def test_half_open_probe_failure_reopens(self):
@@ -542,7 +550,7 @@ class TestBreakerRegistry:
         time.sleep(0.02)
         registry.admit(self.KEY)
         registry.record_failure(self.KEY)
-        assert registry.state_of(self.KEY) == "open"
+        assert _breaker_state(registry, self.KEY) == "open"
         with pytest.raises(CircuitOpenError):
             registry.admit(self.KEY)
 

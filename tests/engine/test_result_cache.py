@@ -195,5 +195,7 @@ class TestTemplateReadOnce:
         assert result.error.type == "FileNotFoundError"
         assert missing in result.error.message
         fingerprint = hashlib.sha256(f"path:{missing}".encode()).hexdigest()
-        assert engine.breakers.state_of(("generate", fingerprint)) == "open"
+        (breaker,) = engine.breakers.to_dict()["open"]
+        assert (breaker["op"], breaker["state"]) == ("generate", "open")
+        assert breaker["fingerprint"] == fingerprint[:12]
         engine.close()

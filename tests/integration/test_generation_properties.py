@@ -17,10 +17,14 @@ from hypothesis import strategies as st
 
 from repro.codegen import CrySLBasedCodeGenerator
 from repro.crysl import bundled_ruleset
-from repro.sast import CrySLAnalyzer
+from repro.sast import ProjectAnalyzer
 
 _GENERATOR = CrySLBasedCodeGenerator(bundled_ruleset())
-_ANALYZER = CrySLAnalyzer(bundled_ruleset())
+_ANALYZER = ProjectAnalyzer(bundled_ruleset())
+
+
+def _analyze(source, name):
+    return _ANALYZER.analyze_sources({name: source}).modules[name]
 
 _names = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True).filter(
     lambda name: not keyword.iskeyword(name) and name != "self"
@@ -102,7 +106,7 @@ def test_arbitrary_glue_names_generate_clean_code(builder, names):
     template = builder(names)
     module = _GENERATOR.generate_from_source(template, "fuzz.py")
     module.compile_check()
-    result = _ANALYZER.analyze_source(module.source, "fuzz.py")
+    result = _analyze(module.source, "fuzz.py")
     assert result.is_secure, result.render()
 
 
@@ -117,4 +121,4 @@ def test_glue_names_shadowing_aliases(names):
     )
     module = _GENERATOR.generate_from_source(template, "shadow.py")
     module.compile_check()
-    assert _ANALYZER.analyze_source(module.source, "shadow.py").is_secure
+    assert _analyze(module.source, "shadow.py").is_secure

@@ -88,5 +88,5 @@ class TestExecution:
 class TestValidity:
     def test_compiler_and_analyzer_accept(self, pbe_module, analyzer):
         pbe_module.compile_check()
-        result = analyzer.analyze_source(pbe_module.source, "pbe")
+        result = analyzer.analyze_sources({"pbe": pbe_module.source}).modules["pbe"]
         assert result.is_secure, result.render()

@@ -45,7 +45,7 @@ class TestRuleInstance:
         pbe = RuleInstance(ruleset.get("PBEKeySpec"), 0)
         assert [e.label for e in pbe.creation_events()] == ["c1"]
         keypair = RuleInstance(ruleset.get("KeyPair"), 0)
-        assert not keypair.has_creation_event()
+        assert not keypair.creation_events()
 
 
 class TestGrantedPredicates:

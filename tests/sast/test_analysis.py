@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sast import CrySLAnalyzer, FindingKind
+from repro.sast import FindingKind, ProjectAnalyzer
 
 PRELUDE = (
     "from repro.jca import Cipher, GCMParameterSpec, KeyGenerator, "
@@ -15,7 +15,11 @@ PRELUDE = (
 
 
 def analyze(analyzer, body):
-    return analyzer.analyze_source(PRELUDE + body, "snippet.py")
+    return analyze_module(analyzer, PRELUDE + body, "snippet.py")
+
+
+def analyze_module(analyzer, source, name):
+    return analyzer.analyze_sources({name: source}).modules[name]
 
 
 class TestTypestate:
@@ -112,6 +116,64 @@ class TestConstraints:
             "    out = c.do_final(b'data')\n",
         )
         assert result.by_kind(FindingKind.CONSTRAINT)
+
+    @pytest.mark.parametrize("number", [7, 8])  # hybrid_bytes, asymmetric_strings
+    def test_pkcs1_padding_on_key_pair_keys_flagged(self, analyzer, number):
+        """A ``get_public()``/``get_private()`` result is typed by the
+        rule's declared ``repro.jca.PublicKey``/``PrivateKey`` though no
+        rule covers those classes, so Cipher's ``instanceof`` guards
+        apply to the generated RSA calls."""
+        from repro.usecases import generate_use_case
+
+        source = generate_use_case(number).source
+        oaep = "RSA/ECB/OAEPWithSHA-256AndMGF1Padding"
+        assert oaep in source
+        result = analyze_module(
+            analyzer, source.replace(oaep, "RSA/ECB/PKCS1Padding"), "m.py"
+        )
+        flagged = {
+            f.function
+            for f in result.by_kind(FindingKind.CONSTRAINT)
+            if "instanceof[key, repro.jca.P" in f.message
+        }
+        assert {"encrypt", "decrypt"} <= {name.split(".")[-1] for name in flagged}
+
+    def test_pkcs1_padding_on_local_key_pair_flagged(self, analyzer):
+        result = analyze(
+            analyzer,
+            "def f(data):\n"
+            "    g = KeyPairGenerator.get_instance('RSA')\n"
+            "    g.initialize(2048)\n"
+            "    pair = g.generate_key_pair()\n"
+            "    key = pair.get_public()\n"
+            "    c = Cipher.get_instance('RSA/ECB/PKCS1Padding')\n"
+            "    c.init(1, key)\n"
+            "    out = c.do_final(data)\n",
+        )
+        (finding,) = result.by_kind(FindingKind.CONSTRAINT)
+        assert "instanceof[key, repro.jca.PublicKey]" in finding.message
+
+    def test_reassigned_key_drops_its_declared_type(self, analyzer):
+        """Once ``key`` is rebound to a helper's secret key, the
+        ``PublicKey`` type of its earlier value no longer applies."""
+        result = analyze(
+            analyzer,
+            "def make_key():\n"
+            "    g = KeyGenerator.get_instance('AES')\n"
+            "    g.init(128)\n"
+            "    k = g.generate_key()\n"
+            "    return k\n"
+            "def f(data):\n"
+            "    g = KeyPairGenerator.get_instance('RSA')\n"
+            "    g.initialize(2048)\n"
+            "    pair = g.generate_key_pair()\n"
+            "    key = pair.get_public()\n"
+            "    key = make_key()\n"
+            "    c = Cipher.get_instance('AES/GCM/NoPadding')\n"
+            "    c.init(1, key)\n"
+            "    out = c.do_final(data)\n",
+        )
+        assert not result.by_kind(FindingKind.CONSTRAINT), result.render()
 
     def test_unknowns_do_not_fire(self, analyzer):
         """Constraints over values the analysis cannot see stay silent
@@ -264,13 +326,15 @@ class TestForbiddenMethods:
                 "FORBIDDEN\n    reset() => d1;\n"
             )
         )
-        analyzer = CrySLAnalyzer(RuleSet([rule]))
-        result = analyzer.analyze_source(
+        analyzer = ProjectAnalyzer(RuleSet([rule]))
+        result = analyze_module(
+            analyzer,
             "from repro.jca import MessageDigest\n"
             "def f():\n"
             "    md = MessageDigest.get_instance('SHA-256')\n"
             "    md.reset()\n"
-            "    digest = md.digest(b'x')\n"
+            "    digest = md.digest(b'x')\n",
+            "<module>",
         )
         forbidden = result.by_kind(FindingKind.FORBIDDEN_METHOD)
         assert forbidden
@@ -283,7 +347,7 @@ class TestGeneratedCodeIsClean:
         from repro.usecases import generate_use_case
 
         module = generate_use_case(number)
-        result = analyzer.analyze_source(module.source, f"uc{number}")
+        result = analyze_module(analyzer, module.source, f"uc{number}")
         assert result.is_secure, result.render()
 
     def test_old_gen_output_clean(self, analyzer):
@@ -291,7 +355,7 @@ class TestGeneratedCodeIsClean:
 
         old = OldGenerator()
         for slug in old.supported_slugs():
-            result = analyzer.analyze_source(old.generate(slug).source, slug)
+            result = analyze_module(analyzer, old.generate(slug).source, slug)
             assert result.is_secure, f"{slug}: {result.render()}"
 
 

@@ -2,15 +2,18 @@
 
 These exercise the Tarjan edge cases the incremental layer leans on:
 self-recursion, mutually recursive pairs, cross-module cycles — and the
-two derived views, callees-first ``order()`` and ``invalidation_cone``.
+two derived views, callees-first ``order()`` and the invalidation cone
+an edit re-keys in the summary cache.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.pysource import parse
 from repro.sast.callgraph import CallGraph, FunctionRef
-from repro.sast.ir import FunctionIR
+from repro.sast.ir import FunctionIR, lift_module
+from repro.sast.summary_cache import compute_summary_keys
 
 
 def graph_of(edges: dict[str, list[str]]) -> CallGraph:
@@ -116,47 +119,76 @@ class TestOrder:
         assert names(graph.order()) == ["m:leaf", "m:x", "m:y"]
 
 
+def rekeyed(analyzer, sources, edited) -> list[str]:
+    """The invalidation cone of an edit, as the summary cache sees it:
+    every function whose summary key changes when ``sources`` become
+    ``edited``."""
+
+    def keys(texts):
+        functions = []
+        for key, text in texts.items():
+            functions.extend(
+                lift_module(
+                    parse(text, key),
+                    analyzer.analyzer.tracked_classes,
+                    analyzer.analyzer.result_classes,
+                    module_name=key,
+                    file=key,
+                )
+            )
+        return compute_summary_keys(CallGraph.build(functions), texts, "fp")
+
+    before, after = keys(sources), keys(edited)
+    return sorted(str(ref) for ref in before if after.get(ref) != before[ref])
+
+
+CHAIN = {
+    "m.py": (
+        "def leaf():\n"
+        "    return 1\n"
+        "def helper():\n"
+        "    x = leaf()\n"
+        "    return x\n"
+        "def main():\n"
+        "    y = helper()\n"
+        "    return y\n"
+        "def unrelated():\n"
+        "    return 2\n"
+    )
+}
+
+
 class TestInvalidationCone:
-    def test_cone_is_changed_plus_transitive_callers(self):
-        graph = graph_of(
-            {
-                "m:main": ["m:helper"],
-                "m:helper": ["m:leaf"],
-                "m:leaf": [],
-                "m:unrelated": [],
-            }
-        )
-        cone = graph.invalidation_cone([FunctionRef("m", "leaf")])
-        assert sorted(names(cone)) == ["m:helper", "m:leaf", "m:main"]
+    def test_cone_is_changed_plus_transitive_callers(self, analyzer):
+        edited = {"m.py": CHAIN["m.py"].replace("return 1", "return 3")}
+        assert rekeyed(analyzer, CHAIN, edited) == [
+            "m.py:helper", "m.py:leaf", "m.py:main"
+        ]
 
-    def test_change_to_a_root_only_touches_the_root(self):
-        graph = graph_of({"m:main": ["m:helper"], "m:helper": []})
-        cone = graph.invalidation_cone([FunctionRef("m", "main")])
-        assert names(cone) == ["m:main"]
+    def test_change_to_a_root_only_touches_the_root(self, analyzer):
+        edited = {"m.py": CHAIN["m.py"].replace("return y", "return 0")}
+        assert rekeyed(analyzer, CHAIN, edited) == ["m.py:main"]
 
-    def test_cycle_member_pulls_in_the_whole_cycle(self):
-        graph = graph_of(
-            {
-                "a:ping": ["b:pong"],
-                "b:pong": ["a:ping"],
-                "c:caller": ["a:ping"],
-                "c:bystander": [],
-            }
-        )
-        cone = graph.invalidation_cone([FunctionRef("b", "pong")])
-        assert sorted(names(cone)) == ["a:ping", "b:pong", "c:caller"]
-
-    def test_unknown_refs_are_ignored(self):
-        graph = graph_of({"m:a": []})
-        assert graph.invalidation_cone([FunctionRef("m", "ghost")]) == set()
+    def test_cycle_member_pulls_in_the_whole_cycle(self, analyzer):
+        sources = {
+            "a.py": "def ping(n):\n    r = pong(n)\n    return r\n",
+            "b.py": "def pong(n):\n    r = ping(n)\n    return r\n",
+            "c.py": (
+                "def caller():\n"
+                "    r = ping(1)\n"
+                "    return r\n"
+                "def bystander():\n"
+                "    return 1\n"
+            ),
+        }
+        edited = {**sources, "b.py": sources["b.py"].replace("r = ", "s = ")}
+        assert rekeyed(analyzer, sources, edited) == [
+            "a.py:ping", "b.py:pong", "c.py:caller"
+        ]
 
     def test_cone_over_real_cross_module_sources(self, analyzer):
         """The end-to-end shape: lift real sources, change the helper
         module, and check the cone stays inside helper + its callers."""
-        import ast as pyast
-
-        from repro.sast.ir import lift_module
-
         sources = {
             "helpers.py": (
                 "def make_iv():\n"
@@ -173,19 +205,7 @@ class TestInvalidationCone:
                 "    return 1\n"
             ),
         }
-        functions = []
-        for key, text in sources.items():
-            functions.extend(
-                lift_module(
-                    pyast.parse(text, filename=key),
-                    analyzer.tracked_classes,
-                    analyzer.result_classes,
-                    module_name=key,
-                    file=key,
-                )
-            )
-        graph = CallGraph.build(functions)
-        changed = [r for r in graph.functions if r.module == "helpers.py"]
-        cone = graph.invalidation_cone(changed)
-        assert FunctionRef("app.py", "run") in cone
-        assert FunctionRef("other.py", "standalone") not in cone
+        edited = {**sources, "helpers.py": "def make_iv():\n    return b''\n"}
+        cone = rekeyed(analyzer, sources, edited)
+        assert "app.py:run" in cone
+        assert "other.py:standalone" not in cone

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.crysl import RuleSet, parse_rule
 from repro.crysl.typecheck import check_rule
-from repro.sast import CrySLAnalyzer, FindingKind
+from repro.sast import FindingKind, ProjectAnalyzer
 
 PRELUDE = (
     "from repro.jca import Cipher, MessageDigest, PBEKeySpec, "
@@ -14,7 +14,11 @@ PRELUDE = (
 
 
 def analyze(analyzer, body):
-    return analyzer.analyze_source(PRELUDE + body, "snippet.py")
+    return analyze_module(analyzer, PRELUDE + body, "snippet.py")
+
+
+def analyze_module(analyzer, source, name="<module>"):
+    return analyzer.analyze_sources({name: source}).modules[name]
 
 
 class TestInterleavedNegates:
@@ -141,10 +145,11 @@ class TestForbiddenAggregateAlternative:
     )
 
     def _analyzer(self):
-        return CrySLAnalyzer(RuleSet([check_rule(parse_rule(self.RULE))]))
+        return ProjectAnalyzer(RuleSet([check_rule(parse_rule(self.RULE))]))
 
     def test_forbidden_call_detected(self):
-        result = self._analyzer().analyze_source(
+        result = analyze_module(
+            self._analyzer(),
             "from repro.jca import Cipher\n"
             "def f(key):\n"
             "    c = Cipher.get_instance('AES/GCM/NoPadding')\n"
@@ -158,7 +163,8 @@ class TestForbiddenAggregateAlternative:
 
     def test_aggregate_members_stay_allowed(self):
         """The aggregate's member events themselves are not forbidden."""
-        result = self._analyzer().analyze_source(
+        result = analyze_module(
+            self._analyzer(),
             "from repro.jca import Cipher\n"
             "def f(key):\n"
             "    c = Cipher.get_instance('AES/GCM/NoPadding')\n"

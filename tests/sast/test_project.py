@@ -7,7 +7,7 @@ import pytest
 
 from repro.codegen import CrySLBasedCodeGenerator, VerificationError
 from repro.sast import FindingKind, ProjectAnalyzer
-from repro.sast.project import _components
+from repro.sast.project import _components, parse_modules
 from repro.usecases import USE_CASES
 
 WRAPPER = """\
@@ -39,6 +39,10 @@ class Encryptor:
 @pytest.fixture(scope="module")
 def project_analyzer():
     return ProjectAnalyzer()
+
+
+def components(sources):
+    return _components(sources, parse_modules(sources))
 
 
 class TestCrossFileTracking:
@@ -164,7 +168,7 @@ class TestDeterminism:
             parallel = engine.analyze(
                 AnalyzeRequest(sources=self.SOURCES, jobs=2)
             )
-        assert len(_components(self.SOURCES)) > 1  # really fans out
+        assert len(components(self.SOURCES)) > 1  # really fans out
         serial, parallel = serial.analysis, parallel.analysis
         assert serial.render() == parallel.render()
         assert serial.to_dict() == parallel.to_dict()
@@ -184,21 +188,24 @@ class TestComponents:
             "a.py": "def helper():\n    return 1\n",
             "b.py": "def helper():\n    return 2\n",
         }
-        assert _components(sources) == [sources]
+        assert components(sources) == [sources]
 
     def test_cross_module_reference_joins_modules(self):
         sources = {
             "lib.py": "class Box:\n    pass\n",
             "app.py": "from lib import Box\ndef run():\n    return Box()\n",
         }
-        assert _components(sources) == [sources]
+        assert components(sources) == [sources]
 
     def test_independent_modules_stay_apart(self):
         sources = {
             "a.py": "def one():\n    return 1\n",
             "b.py": "def two():\n    return 2\n",
         }
-        assert _components(sources) == [{"a.py": sources["a.py"]}, {"b.py": sources["b.py"]}]
+        assert components(sources) == [
+            {"a.py": sources["a.py"]},
+            {"b.py": sources["b.py"]},
+        ]
 
     def test_component_order_is_deterministic(self):
         sources = {
@@ -209,11 +216,11 @@ class TestComponents:
         }
         expected = [["z.py"], ["lib.py", "use.py"], ["m.py"]]
         for _ in range(3):
-            assert [list(c) for c in _components(sources)] == expected
+            assert [list(c) for c in components(sources)] == expected
         # Input order decides component order: each component sits at
         # its first module's position.
         reordered = dict(reversed(list(sources.items())))
-        assert [list(c) for c in _components(reordered)] == [
+        assert [list(c) for c in components(reordered)] == [
             ["use.py", "lib.py"],
             ["m.py"],
             ["z.py"],

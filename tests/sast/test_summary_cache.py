@@ -46,8 +46,8 @@ def build_graph(analyzer, sources):
         functions.extend(
             lift_module(
                 pyast.parse(text, filename=key),
-                analyzer.tracked_classes,
-                analyzer.result_classes,
+                analyzer.analyzer.tracked_classes,
+                analyzer.analyzer.result_classes,
                 module_name=key,
                 file=key,
             )
@@ -74,9 +74,10 @@ class TestKeyComputation:
         edited = {**SOURCES, "helpers.py": "def make_iv():\n    return b'1' * 16\n"}
         after = compute_summary_keys(build_graph(analyzer, edited), edited, "fp")
         changed = {ref for ref in before if before[ref] != after[ref]}
-        assert changed == graph.invalidation_cone(
-            [FunctionRef("helpers.py", "make_iv")]
-        )
+        assert changed == {
+            FunctionRef("helpers.py", "make_iv"),
+            FunctionRef("app.py", "run"),
+        }
         assert FunctionRef("other.py", "standalone") not in changed
 
     def test_ruleset_fingerprint_is_part_of_every_key(self, analyzer):

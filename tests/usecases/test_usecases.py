@@ -95,7 +95,7 @@ class TestGeneration:
     def test_extension_use_case_generates(self, generator, analyzer):
         module = generate_use_case(12, generator)
         module.compile_check()
-        assert analyzer.analyze_source(module.source, "uc12").is_secure
+        assert analyzer.analyze_sources({"uc12": module.source}).is_secure
         assert "Mac.get_instance('HmacSHA256')" in module.source
 
     def test_key_storage_extension_selects_both_flows(self, generator):
