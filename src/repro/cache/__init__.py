@@ -17,8 +17,7 @@ Attach a store to a rule set and every consumer of that set benefits::
 
 The CLI does exactly this by default (``--cache-dir`` / ``--no-cache``),
 and the engine's resident worker pool (``CryptoGenEngine.generate_many``
-and ``analyze`` at ``jobs > 1``) warm-starts each worker process from
-the same store.
+at ``jobs > 1``) warm-starts each worker process from the same store.
 
 :class:`LRUCache` is the one bounded in-memory memo of the repo. The
 engine's generate-result cache uses it memory-only; the per-function

@@ -12,8 +12,10 @@ Subcommands::
     cognicrypt-gen serve                         # resident engine daemon (NDJSON)
 
 ``analyze`` accepts files and directories (recursing into ``*.py``) and
-analyzes them as one project, interprocedurally. Exit codes: 0 = no
-findings, 2 = findings reported, 1 = usage or analysis error.
+analyzes them as one project, interprocedurally, in one serial pass.
+Exit codes: 0 = no findings, 2 = findings reported, 1 = usage or
+analysis error (a bad flag too, so a CI gate never reads a typo as
+findings).
 ``lint-rules`` exits 3 when warnings are present.
 
 Every generating/analyzing subcommand is a thin caller of one
@@ -123,6 +125,14 @@ class _CLIError(Exception):
     """A user-facing CLI failure: message only, no traceback."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own 2 means "findings"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _print_module(
     module, template: str, project: TargetProject, args: argparse.Namespace
 ) -> None:
@@ -144,19 +154,14 @@ def _print_module(
         print(module.diagnostics.render())
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise _CLIError(f"--jobs must be a positive integer, got {args.jobs}")
-    return args.jobs
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     # One engine — and therefore one warm rule set and one cumulative
     # diagnostics record — serves every template on the command line;
     # rules compile once (or load from the persistent cache).
-    jobs = _jobs(args)
+    if args.jobs < 1:
+        raise _CLIError(f"--jobs must be a positive integer, got {args.jobs}")
     with _build_engine(args) as engine:
-        results = engine.generate_many(args.templates, jobs=jobs)
+        results = engine.generate_many(args.templates, jobs=args.jobs)
         project = TargetProject(args.output)
         exit_code = 0
         payloads = []
@@ -203,17 +208,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise _CLIError("--json and --sarif are mutually exclusive")
     if args.update_baseline and not args.baseline:
         raise _CLIError("--update-baseline requires --baseline FILE")
-    jobs = _jobs(args)
     paths = expand_analyze_paths(args.paths)
     if not paths:
         raise _CLIError("no Python files to analyze")
     # Closing the engine flushes newly compiled rules to --cache-dir.
     with _build_engine(args) as engine:
         result = engine.analyze(
-            AnalyzeRequest(
-                paths=tuple(str(p) for p in paths),
-                jobs=jobs,
-            )
+            AnalyzeRequest(paths=tuple(str(p) for p in paths))
         )
     if result.error is not None:
         raise _CLIError(str(result.error))
@@ -359,7 +360,7 @@ def _ruleset(args: argparse.Namespace) -> RuleSet:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cognicrypt-gen",
         description="Generate secure crypto code from CrySL rules and templates.",
     )
@@ -439,14 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif",
         action="store_true",
         help="emit a SARIF 2.1.0 report on stdout (GitHub code scanning)",
-    )
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze independent module groups on N worker processes, at "
-        "most one per CPU (default: 1, in-process); the output is the same",
     )
     analyze.add_argument(
         "--stats",

@@ -8,8 +8,8 @@ state the one-shot CLI used to rebuild per invocation:
   :class:`~repro.crysl.repository.RuleRepository` over a directory;
 * one :class:`~repro.cache.DiskRuleCache` (optional);
 * one warm :class:`~repro.workers.SupervisedWorkerPool` (created on
-  the first parallel request, reused by every later one; its size is
-  the request's ``jobs``, clamped to the CPU count);
+  the first parallel ``generate_many`` batch, reused by every later
+  one; its size is the batch's ``jobs``, clamped to the CPU count);
 * one cumulative :class:`~repro.diagnostics.Diagnostics`, shared by
   the generation context, the project analyzer, the pool supervisor
   and the serve daemon, so every counter covers the engine's lifetime
@@ -42,8 +42,9 @@ is single-flight on the rule set, and repeated identical generate
 requests are answered from a bounded :class:`~repro.cache.LRUCache`
 keyed by :class:`ResultKey`, which a dirty ``refresh_rules`` clears
 together with the summary cache. Only ``refresh_rules`` and parallel
-requests serialize against each other (they swap or share the process
-worker pool).
+``generate_many`` batches serialize against each other (they swap or
+share the process worker pool); ``analyze`` always runs serially in
+the calling thread and never takes that lock.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from ..sast.summary_cache import SummaryCache
 from ..trace import Trace, activate as activate_trace
 from ..workers import (
     RECOVERABLE_ERRORS,
-    SOURCE,
     SupervisedWorkerPool,
     SupervisorConfig,
     TaskOutcome,
@@ -152,7 +152,6 @@ class AnalyzeRequest:
 
     paths: tuple[str, ...] = ()
     sources: Mapping[str, str] | None = None
-    jobs: int = 1
     request_id: str | None = None
 
 
@@ -343,9 +342,10 @@ class CryptoGenEngine:
         self._request_counter = 0
         #: guards request ids, counters and lazy service construction
         self._lock = threading.RLock()
-        #: serializes refresh_rules against parallel requests — both
-        #: touch the process worker pool, which must not be torn down
-        #: mid-batch. Serial generate/analyze never take it.
+        #: serializes refresh_rules against parallel generate_many
+        #: batches — both touch the process worker pool, which must not
+        #: be torn down mid-batch. Serial generate and analyze never
+        #: take it.
         self._batch_lock = threading.Lock()
         #: memo of completed generate requests; hits share the module
         #: object, so nothing may mutate a cached GeneratedModule
@@ -790,7 +790,7 @@ class CryptoGenEngine:
         tasks = []
         for item in pending:
             try:
-                tasks.append((SOURCE, *self._pipeline_input(item)))
+                tasks.append(self._pipeline_input(item))
                 outcomes.append(None)
             except REQUEST_ERRORS as exc:
                 error = (type(exc).__name__, str(exc))
@@ -874,7 +874,7 @@ class CryptoGenEngine:
                         raise EngineRequestError(
                             "analyze request needs paths or sources"
                         )
-                    analysis = self._analyze_sources(sources, request.jobs)
+                    analysis = self.analyzer.analyze_sources(sources)
                 except REQUEST_ERRORS as exc:
                     error = _engine_error(exc)
         self._settle(breaker_key, error)
@@ -890,15 +890,6 @@ class CryptoGenEngine:
                 analysis.reanalyzed_functions if analysis is not None else 0
             ),
         )
-
-    def _analyze_sources(
-        self, sources: dict[str, str], jobs: int
-    ) -> "ProjectAnalysisResult":
-        """Serial analysis, or components over the resident pool."""
-        if jobs <= 1:
-            return self.analyzer.analyze_sources(sources)
-        with self._batch_lock:
-            return self.analyzer.analyze_sources(sources, pool=self.pool(jobs))
 
     # ------------------------------------------------------------------
     # the incremental rule repository

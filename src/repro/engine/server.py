@@ -12,12 +12,12 @@ line, correlated by the client-chosen ``id``. Requests:
     the first request, ``"cached": true`` when the engine's result
     cache answered). The batch form ``{"op": "generate", "templates":
     [...], "jobs": N}`` runs over the engine's supervised process pool
-    and answers one response with per-item results.
+    and answers one response with per-item results. ``jobs`` must be a
+    positive integer and is clamped to the CPU count.
 ``{"id": 2, "op": "analyze", "paths": [...]}``
-    or inline ``"sources": {name: text}``; with ``"jobs": N`` the
-    project's independent module components run over the same
-    supervised process pool. ``jobs`` must be a positive integer and is
-    clamped to the CPU count.
+    or inline ``"sources": {name: text}``; the whole project is
+    analyzed in one serial pass. Like any field an op does not read,
+    a ``jobs`` field here is ignored.
 ``{"op": "ping"}`` / ``{"op": "stats"}`` / ``{"op": "refresh-rules"}``
     liveness, the engine's cumulative diagnostics plus server metrics
     (per-op latency percentiles, in-flight gauge, worker utilization,
@@ -598,7 +598,6 @@ class EngineServer:
             AnalyzeRequest(
                 paths=tuple(str(p) for p in paths),
                 sources=sources,
-                jobs=_request_jobs(request),
             )
         )
         payload = result.to_dict()

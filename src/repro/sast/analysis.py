@@ -196,7 +196,6 @@ class _FunctionEngine:
         self._by_name: dict[str, _TraceState] = {}
         #: predicate name -> set of variables currently holding it
         self._held: dict[str, set[str]] = {}
-        self._deterministic = self._deterministic_vars(ir)
         self._function_label = ir.qualname or ir.name
         self._requires_seen: set[tuple[int, tuple[str, ...], str]] = set()
         #: (param index, rule, event param) -> labels at first bind
@@ -257,16 +256,6 @@ class _FunctionEngine:
         self._by_name[trace.variable] = state
         self._result.tracked_objects += 1
         return state
-
-    @staticmethod
-    def _deterministic_vars(ir: FunctionIR) -> set[str]:
-        """Variables whose value is locally determined: literals and
-        fresh buffer allocations. A zero-filled ``bytearray(32)`` stays
-        deterministic until something rule-covered randomizes it — which
-        is exactly what the ``randomized`` predicate models."""
-        out = set(ir.constants)
-        out.update(ir.lengths)
-        return out
 
     def _finding(
         self,
@@ -539,7 +528,11 @@ class _FunctionEngine:
                     break
                 if arg.is_literal:
                     judgeable = True
-                elif arg.var is not None and arg.var in self._deterministic:
+                elif arg.value is not None or arg.length is not None:
+                    # Locally determined at the call: a literal or a
+                    # fresh buffer. A zero-filled ``bytearray(32)`` stays
+                    # so until something rule-covered randomizes it,
+                    # which is what the ``randomized`` predicate models.
                     judgeable = True
                 elif (
                     arg.var is not None
@@ -763,7 +756,8 @@ class _FunctionEngine:
                 continue
             judgeable = (
                 arg.is_literal
-                or (arg.var is not None and arg.var in self._deterministic)
+                or arg.value is not None
+                or arg.length is not None
                 or (state is not None and not state.trace.from_parameter)
             )
             if judgeable:

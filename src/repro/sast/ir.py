@@ -255,8 +255,10 @@ class _FunctionLifter:
                     self._statement(child)
 
     def _assignment(self, target: str, value: pyast.expr, line: int) -> None:
-        # The old value's type goes with it; the new value sets its own.
+        # The old value's facts go with it; the new value sets its own.
         self._ir.types.pop(target, None)
+        self._ir.constants.pop(target, None)
+        self._ir.lengths.pop(target, None)
         if isinstance(value, pyast.Name):
             trace = self._trace_for(value.id)
             if trace is not None:

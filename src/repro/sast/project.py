@@ -7,16 +7,6 @@ a *different* module than the one defining them, the exact shape the
 generator emits — and analyzes functions callees-first so each call
 site can replay its callee's :class:`~repro.sast.summaries.
 FunctionSummary` instead of waiving the call.
-
-Parallel analysis (``pool=``, the engine's resident pool for a
-``jobs > 1`` request) partitions the project into connected components
-of the module-dependency graph (modules that define or reference a
-shared top-level name always land in the same component), so every
-worker sees exactly the resolution candidates the serial analysis
-would — findings are byte-identical to the serial path and land in
-deterministic order. Each component is one task on the supervised
-worker pool of :mod:`repro.workers` — the same warm, forkserver-backed
-pool that batch generation uses.
 """
 
 from __future__ import annotations
@@ -42,7 +32,7 @@ from ..diagnostics import (
 from ..pysource import parse
 from ..trace import span as trace_span
 from .analysis import CrySLAnalyzer, SummaryProvider
-from .callgraph import CallGraph, FunctionRef, ref_of
+from .callgraph import CallGraph, FunctionRef
 from .ir import FunctionIR, HelperCall, lift_module
 from .report import AnalysisResult
 from .summaries import FunctionSummary
@@ -56,7 +46,6 @@ from .suppressions import apply_suppressions, parse_suppressions
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..constraints.types import TypeRegistry
     from ..crysl.ruleset import RuleSet
-    from ..workers import SupervisedWorkerPool
 
 
 @dataclass
@@ -143,38 +132,16 @@ class ProjectAnalyzer:
     def analyzer(self) -> CrySLAnalyzer:
         return self._analyzer
 
-    # ------------------------------------------------------------------
-    # entry points
-    # ------------------------------------------------------------------
-
-    def analyze_sources(
-        self,
-        sources: Mapping[str, str],
-        pool: "SupervisedWorkerPool | None" = None,
-    ) -> ProjectAnalysisResult:
+    def analyze_sources(self, sources: Mapping[str, str]) -> ProjectAnalysisResult:
         """Analyze a ``{module key: source text}`` mapping as one project.
 
-        With a ``pool`` (a :class:`~repro.workers.SupervisedWorkerPool`
-        over the same rule set), independent module components run as
-        tasks on that pool.
+        One serial pass: parse and lift every module, build the call
+        graph, then analyze (or replay from the summary cache) every
+        function callees-first. The run's counters are merged into
+        :attr:`diagnostics`.
         """
         sources = dict(sources)
         parsed = parse_modules(sources)
-        if pool is not None and len(sources) > 1:
-            components = _components(sources, parsed)
-            if len(components) > 1:
-                return self._analyze_parallel(sources, components, pool)
-        result, run_diag = self._analyze_serial(sources, parsed)
-        self.diagnostics.merge(run_diag)
-        return result
-
-    # ------------------------------------------------------------------
-    # the serial core
-    # ------------------------------------------------------------------
-
-    def _analyze_serial(
-        self, sources: dict[str, str], parsed: dict[str, pyast.Module]
-    ) -> tuple[ProjectAnalysisResult, Diagnostics]:
         analyzer = self._analyzer
         cache = self.summary_cache
         diag = Diagnostics()
@@ -277,57 +244,17 @@ class ProjectAnalyzer:
         )
         diag.count(ANALYSIS_REANALYZED, reanalyzed)
         diag.count(ANALYSIS_SUPPRESSED, suppressed)
-        return (
-            ProjectAnalysisResult(
-                modules=results,
-                total_functions=len(functions),
-                reanalyzed_functions=reanalyzed,
-                summary_cache_hits=hits,
-            ),
-            diag,
-        )
-
-    # ------------------------------------------------------------------
-    # the parallel driver
-    # ------------------------------------------------------------------
-
-    def _analyze_parallel(
-        self,
-        sources: dict[str, str],
-        components: list[dict[str, str]],
-        pool: "SupervisedWorkerPool",
-    ) -> ProjectAnalysisResult:
-        from ..workers import COMPONENT
-
-        directory = self.summary_cache.directory
-        summary_dir = str(directory) if directory is not None else None
-        outcomes = pool.run_tasks(
-            [
-                (COMPONENT, tuple(component.items()), summary_dir)
-                for component in components
-            ]
-        )
-        modules: dict[str, AnalysisResult] = {}
-        run_totals: dict[str, int] = {}
-        for outcome in outcomes:
-            for key, amount in (outcome.init_counters or {}).items():
-                self.diagnostics.count(key, amount)
-            modules.update(outcome.module.modules)
-            for key, amount in outcome.counters.items():
-                self.diagnostics.count(key, amount)
-                run_totals[key] = run_totals.get(key, 0) + amount
-        # Reassemble in the original module order regardless of which
-        # component (or worker) produced each result.
+        self.diagnostics.merge(diag)
         return ProjectAnalysisResult(
-            modules={key: modules[key] for key in sources},
-            total_functions=run_totals.get(ANALYSIS_FUNCTIONS, 0),
-            reanalyzed_functions=run_totals.get(ANALYSIS_REANALYZED, 0),
-            summary_cache_hits=run_totals.get(SUMMARY_HITS, 0),
+            modules=results,
+            total_functions=len(functions),
+            reanalyzed_functions=reanalyzed,
+            summary_cache_hits=hits,
         )
 
 
 # ---------------------------------------------------------------------------
-# parsing and module partitioning
+# parsing
 # ---------------------------------------------------------------------------
 
 
@@ -335,53 +262,3 @@ def parse_modules(sources: Mapping[str, str]) -> dict[str, pyast.Module]:
     """Parse every module of a project once, keyed like ``sources``."""
     with trace_span("sast:lift"):
         return {key: parse(text, key) for key, text in sources.items()}
-
-
-def _components(
-    sources: dict[str, str], parsed: dict[str, pyast.Module]
-) -> list[dict[str, str]]:
-    """Connected components of the module-dependency over-approximation.
-
-    Modules are joined when one references a top-level name the other
-    defines — or when both define the *same* name, so per-component
-    call-graph resolution sees exactly the candidate sets (including
-    ambiguities) the whole-project graph would.
-    """
-    keys = list(sources)
-    defined: dict[str, set[str]] = {}
-    referenced: dict[str, set[str]] = {}
-    for key, module in parsed.items():
-        defined[key] = {
-            node.name
-            for node in module.body
-            if isinstance(node, (pyast.ClassDef, pyast.FunctionDef))
-        }
-        referenced[key] = {
-            node.id for node in pyast.walk(module) if isinstance(node, pyast.Name)
-        }
-    parent = {key: key for key in keys}
-
-    def find(key: str) -> str:
-        while parent[key] != key:
-            parent[key] = parent[parent[key]]
-            key = parent[key]
-        return key
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            if (
-                defined[a] & referenced[b]
-                or defined[b] & referenced[a]
-                or defined[a] & defined[b]
-            ):
-                union(a, b)
-    groups: dict[str, dict[str, str]] = {}
-    for key in keys:  # insertion order keeps components deterministic
-        groups.setdefault(find(key), {})[key] = sources[key]
-    return list(groups.values())
-

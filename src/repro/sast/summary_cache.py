@@ -60,7 +60,7 @@ from .summaries import FunctionSummary
 #: analyzer semantics baked into it. Bump on any change to the
 #: per-function engine, the summary shapes, the lifter, or the Finding
 #: dataclass; old entries then miss and are recomputed.
-SUMMARY_SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 3
 
 _SUFFIX = ".summary.pkl"
 
@@ -176,7 +176,3 @@ class SummaryCache(LRUCache[str, CachedFunctionAnalysis]):
                 name="summary_store",
             )
         super().__init__(capacity, name="summary_cache", disk=disk)
-
-    @property
-    def directory(self) -> Path | None:
-        return self.disk.directory if self.disk is not None else None

@@ -1,21 +1,13 @@
-"""One supervised process pool for generation and analysis.
+"""One supervised process pool for batch generation.
 
-Both parallel paths — the engine's ``generate_many(jobs=N)`` batches
-and its ``jobs > 1`` ``analyze`` requests — run *tagged tasks* on the
-pool defined here:
-
-* a **template task** ``("source", text, name, verify)``: the pipeline
-  step of one generate request, on template text the engine has
-  already read;
-* a **component task** ``("component", items, summary_dir)``: one
-  connected component of a project's module graph
-  (:func:`repro.sast.project._components`) as ``(key, source)`` items,
-  plus the caller's summary-store directory (``None``: in memory).
-
-Both kinds run through one :class:`TaskRunner` — in a pool worker, or
-in-process for the supervisor's serial fallback — and come back as one
-:class:`TaskOutcome`. Workers start from :func:`pool_mp_context`, never
-``fork``. The supervisor's states, as reported by ``health``/``stats``::
+The engine's ``generate_many(jobs=N)`` batches run *template tasks* on
+the pool defined here: a task ``(text, name, verify)`` is the pipeline
+step of one generate request, on template text the engine has already
+read. A task runs through :func:`run_template` — in a pool worker, or
+in-process for the supervisor's serial fallback — and comes back as
+one :class:`TaskOutcome`. Workers start from :func:`pool_mp_context`,
+never ``fork``. The supervisor's states, as reported by
+``health``/``stats``::
 
     idle ──first batch──▶ running ──BrokenProcessPool──▶ restarting
       ▲                     ▲  │                            │
@@ -51,17 +43,11 @@ from .diagnostics import (
     SUPERVISOR_RETRIES,
     Diagnostics,
 )
-from .sast.project import ProjectAnalyzer, parse_modules
-from .sast.summary_cache import SummaryCache
 from .trace import event as trace_event
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from .codegen.generator import CrySLBasedCodeGenerator
+    from .codegen.generator import CrySLBasedCodeGenerator, GeneratedModule
     from .crysl.ast import Rule
-
-#: The tags of the two task kinds.
-SOURCE = "source"
-COMPONENT = "component"
 
 #: Error types a request turns into a structured error instead of
 #: letting them propagate: the pipeline's own errors, ``OSError`` for
@@ -83,20 +69,16 @@ DEGRADED = "degraded"
 
 @dataclass
 class TaskOutcome:
-    """One task's result, normalized across execution backends.
-
-    ``module`` is a template task's
-    :class:`~repro.codegen.generator.GeneratedModule` (``None`` when it
-    failed) or a component task's ``ProjectAnalysisResult``.
-    """
+    """One template task's result, normalized across execution backends."""
 
     index: int
-    module: object
-    #: a failed template task's ``(error type name, message)``
+    #: the task's :class:`~repro.codegen.generator.GeneratedModule`
+    #: (``None`` when it failed)
+    module: "GeneratedModule | None"
+    #: a failed task's ``(error type name, message)``
     error: tuple[str, str] | None
-    #: the counts the task caused: for a template task, what its run
-    #: recorded (compile-cache and disk traffic); for a component task,
-    #: its analysis run's counters
+    #: the counts the task's run recorded (compile-cache and disk
+    #: traffic)
     counters: dict = field(default_factory=dict)
     #: the worker's warm-start counters, on its first outcome only
     init_counters: dict | None = None
@@ -107,62 +89,29 @@ class TaskOutcome:
     in_process: bool = False
 
 
-class TaskRunner:
-    """Runs tagged tasks against one generator's rule set.
+def run_template(
+    generator: "CrySLBasedCodeGenerator", index: int, task: tuple
+) -> TaskOutcome:
+    """Run one template task; recoverable pipeline errors become data.
 
-    Template tasks go through the generator; component tasks through a
-    :class:`~repro.sast.ProjectAnalyzer` over the same rule set, built
-    on the first component task for each summary directory. Each pool
-    worker holds one runner; the supervisor's serial fallback runs the
-    same runner in the parent.
+    Each pool worker runs its tasks through its own generator; the
+    supervisor's serial fallback runs them through the parent's.
     """
-
-    def __init__(self, generator: "CrySLBasedCodeGenerator"):
-        self.generator = generator
-        self._analyzers: dict[str | None, ProjectAnalyzer] = {}
-
-    def run(self, index: int, task: tuple) -> TaskOutcome:
-        """Run one task; recoverable template errors become data."""
-        if task[0] == COMPONENT:
-            _, items, summary_dir = task
-            sources = dict(items)
-            result, diag = self._analyzer(summary_dir)._analyze_serial(
-                sources, parse_modules(sources)
-            )
-            return TaskOutcome(index, result, None, dict(diag.counters))
-        _, text, name, verify = task
-        module, error = None, None
-        with Diagnostics().recording() as record:
-            try:
-                module = self.generator.generate_from_source(
-                    text, name, verify=verify
-                )
-            except RECOVERABLE_ERRORS as exc:
-                error = (type(exc).__name__, str(exc))
-        return TaskOutcome(index, module, error, dict(record.counters))
-
-    def _analyzer(self, summary_dir: str | None) -> ProjectAnalyzer:
-        analyzer = self._analyzers.get(summary_dir)
-        if analyzer is None:
-            # CrySLAnalyzer construction compiles every rule once —
-            # straight from the disk store when it is primed. A
-            # disk-backed summary store is shared with the parent, so a
-            # primed summary tier replays in parallel mode too.
-            context = self.generator.context
-            analyzer = ProjectAnalyzer(
-                context.ruleset,
-                context.registry,
-                summary_cache=SummaryCache(summary_dir),
-            )
-            self._analyzers[summary_dir] = analyzer
-        return analyzer
+    text, name, verify = task
+    module, error = None, None
+    with Diagnostics().recording() as record:
+        try:
+            module = generator.generate_from_source(text, name, verify=verify)
+        except RECOVERABLE_ERRORS as exc:
+            error = (type(exc).__name__, str(exc))
+    return TaskOutcome(index, module, error, dict(record.counters))
 
 
 # ---------------------------------------------------------------------------
 # worker-side machinery (module-level so the pool can pickle references)
 # ---------------------------------------------------------------------------
 
-#: Per-worker state: the task runner plus the one-shot warm-start
+#: Per-worker state: the generator plus the one-shot warm-start
 #: counters (everything the worker's rule set counted while it warmed).
 _WORKER: dict = {}
 
@@ -173,7 +122,7 @@ def _init_worker(
     max_paths: int | None,
     fault_spec: str | None = None,
 ) -> None:
-    """Build this worker's task runner (runs once per process).
+    """Build this worker's generator (runs once per process).
 
     The frozen rule set is rebuilt from the parent's rules; with a
     ``cache_dir`` every rule is touched once so its artefacts load from
@@ -203,7 +152,7 @@ def _init_worker(
         for rule in ruleset:
             ruleset.compiled(rule, max_paths=max_paths)
     context = GenerationContext(ruleset=ruleset, max_paths=max_paths)
-    _WORKER["runner"] = TaskRunner(CrySLBasedCodeGenerator(context=context))
+    _WORKER["generator"] = CrySLBasedCodeGenerator(context=context)
     _WORKER["init_counters"] = dict(ruleset.diagnostics.counters)
 
 
@@ -222,7 +171,7 @@ def _worker_rss_mb() -> float:
 
 
 def run_task(index: int, task: tuple) -> TaskOutcome:
-    """The pool's task entry point: one tagged task in this worker.
+    """The pool's task entry point: one template task in this worker.
 
     Two fault points live here, exercised only inside real pool
     workers: ``worker_crash`` kills the process outright (the parent
@@ -231,7 +180,7 @@ def run_task(index: int, task: tuple) -> TaskOutcome:
     """
     faults.maybe_crash("worker_crash")
     faults.maybe_sleep("slow_task")
-    outcome = _WORKER["runner"].run(index, task)
+    outcome = run_template(_WORKER["generator"], index, task)
     # The warm-start cost rides on the worker's first completed task
     # only, so the parent folds it in exactly once.
     outcome.init_counters = _WORKER.pop("init_counters", None)
@@ -451,7 +400,7 @@ class SupervisedWorkerPool:
       tasks per worker, or when a worker's peak RSS crosses
       :attr:`SupervisorConfig.worker_memory_mb`.
     * **Degrade, don't die.** A batch that exhausts the restart budget
-      runs serially in-process through a :class:`TaskRunner` over the
+      runs serially in-process through :func:`run_template` over the
       parent's generator, and the supervisor reports ``degraded: true``
       until a later batch (or :meth:`probe`, the ``health`` op's
       recovery path) brings a healthy pool back.
@@ -474,7 +423,7 @@ class SupervisedWorkerPool:
         config: SupervisorConfig | None = None,
         diagnostics: Diagnostics | None = None,
     ):
-        self._runner = TaskRunner(generator)
+        self._generator = generator
         self.jobs = jobs
         self.config = config or SupervisorConfig()
         self.diagnostics = (
@@ -537,7 +486,7 @@ class SupervisedWorkerPool:
     def _ensure_pool(self) -> WorkerPool:
         with self._lock:
             if self._pool is None:
-                self._pool = WorkerPool(self._runner.generator, self.jobs)
+                self._pool = WorkerPool(self._generator, self.jobs)
                 self._tasks_since_spawn = 0
                 self._max_rss_mb = 0.0
             self._started = True
@@ -647,7 +596,7 @@ class SupervisedWorkerPool:
         # fault point lives in run_task, which this never enters.
         outcomes = []
         for index, task in enumerate(tasks):
-            outcome = self._runner.run(index, task)
+            outcome = run_template(self._generator, index, task)
             outcome.in_process = True
             outcomes.append(outcome)
         return outcomes

@@ -253,38 +253,6 @@ class TestAnalyze:
         assert not result.ok
         assert result.error.type == "EngineRequestError"
 
-    def test_parallel_analyses_share_one_resident_pool(self, monkeypatch):
-        from repro import workers
-
-        built = []
-
-        class CountingPool(workers.WorkerPool):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(workers, "WorkerPool", CountingPool)
-        sources = {
-            "a.py": "from repro.jca import Cipher\n"
-            "def enc():\n    return Cipher.get_instance('AES/ECB/PKCS5Padding')\n",
-            "b.py": "from repro.jca import MessageDigest\n"
-            "def digest():\n    return MessageDigest.get_instance('MD5')\n",
-        }
-        engine = CryptoGenEngine()
-        try:
-            first = engine.analyze(AnalyzeRequest(sources=sources, jobs=2))
-            pool = engine._pool
-            second = engine.analyze(AnalyzeRequest(sources=sources, jobs=2))
-            assert engine._pool is pool
-            stats = pool.to_dict()
-        finally:
-            engine.close()
-        assert first.ok and second.ok
-        assert second.analysis.to_dict() == first.analysis.to_dict()
-        assert stats["batches"] == 2
-        assert stats["restarts"] == stats["recycles"] == 0
-        assert len(built) == 1
-
 
 class TestConstruction:
     def test_rules_dir_and_ruleset_conflict(self, tmp_path):

@@ -195,7 +195,7 @@ def _install_fake_pool(monkeypatch, behaviors: list, rss_mb: float = 10.0):
 
 
 FAST_BACKOFF = dict(backoff_base_seconds=0.001, backoff_max_seconds=0.002)
-SPECS = [("source", "", "a.py", False), ("source", "", "b.py", False)]
+SPECS = [("", "a.py", False), ("", "b.py", False)]
 
 
 class TestSupervisedWorkerPool:
@@ -398,7 +398,7 @@ class TestPoolPlumbing:
             return TaskOutcome(index, f"module-{index}", None)
 
         monkeypatch.setattr(workers, "run_task", slow_task)
-        specs = [("source", "", f"{n}.py", False) for n in range(4)]
+        specs = [("", f"{n}.py", False) for n in range(4)]
         with ThreadPoolExecutor(max_workers=1) as executor:
             # 4 serial tasks x 40ms ≈ 160ms total, but no single gap
             # exceeds the 60ms stall budget.
@@ -411,32 +411,15 @@ class TestPoolPlumbing:
 
 
 # ---------------------------------------------------------------------------
-# parallel analysis on the supervised pool
+# a parallel batch on the supervised pool, under worker crashes
 # ---------------------------------------------------------------------------
 
-#: Three modules, two components: ``helpers``/``app`` share a name,
-#: ``solo`` stands alone; ``solo`` carries a finding.
-COMPONENT_SOURCES = {
-    **ANALYZE_SOURCES,
-    "solo.py": (
-        "from repro.jca import MessageDigest\n"
-        "def digest(data):\n"
-        "    md = MessageDigest.get_instance('MD5')\n"
-        "    return md.digest(data)\n"
-    ),
-}
 
-
-class TestParallelAnalysisPool:
+class TestCrashingPool:
     def test_crashing_workers_in_a_threaded_parent_still_match_serial(
         self, monkeypatch
     ):
-        from repro.engine import AnalyzeRequest
-        from repro.sast import to_sarif
-        from repro.sast.project import _components, parse_modules
-
-        parsed = parse_modules(COMPONENT_SOURCES)
-        assert len(_components(COMPONENT_SOURCES, parsed)) == 2
+        templates = [TEMPLATE, TEMPLATE_2]
         # seed=1 fires on each worker's first draw, so every pool
         # incarnation crashes: the supervisor restarts, then degrades.
         monkeypatch.setenv(faults.FAULTS_ENV, "worker_crash:0.5,seed=1")
@@ -449,44 +432,19 @@ class TestParallelAnalysisPool:
         bystander = threading.Thread(target=stop.wait, daemon=True)
         bystander.start()
         try:
-            serial = serial_engine.analyze(
-                AnalyzeRequest(sources=COMPONENT_SOURCES, jobs=1)
-            )
-            parallel = engine.analyze(
-                AnalyzeRequest(sources=COMPONENT_SOURCES, jobs=2)
-            )
+            serial = serial_engine.generate_many(templates, jobs=1)
+            parallel = engine.generate_many(templates, jobs=2)
             assert bystander.is_alive()
             pool = engine.health(probe=False)["pool"]
         finally:
             stop.set()
             serial_engine.close()
             engine.close()
-        assert serial.ok and parallel.ok
-        assert not parallel.is_secure
-        assert parallel.analysis.to_dict() == serial.analysis.to_dict()
-        assert to_sarif(parallel.analysis.modules) == to_sarif(
-            serial.analysis.modules
-        )
+        assert all(r.ok for r in serial) and all(r.ok for r in parallel)
+        assert [r.module.source for r in parallel] == [
+            r.module.source for r in serial
+        ]
         assert pool["restarts"] > 0
-
-    def test_parallel_analysis_never_forks(self, monkeypatch):
-        contexts = []
-        real_executor = workers.ProcessPoolExecutor
-
-        def recording_executor(*args, **kwargs):
-            contexts.append(kwargs.get("mp_context"))
-            return real_executor(*args, **kwargs)
-
-        monkeypatch.setattr(workers, "ProcessPoolExecutor", recording_executor)
-        with CryptoGenEngine() as engine:
-            result = engine.analyze(
-                AnalyzeRequest(sources=COMPONENT_SOURCES, jobs=2)
-            ).analysis
-        assert set(result.modules) == set(COMPONENT_SOURCES)
-        assert contexts
-        for context in contexts:
-            assert context is workers.pool_mp_context()
-            assert context.get_start_method() != "fork"
 
 
 # ---------------------------------------------------------------------------

@@ -205,17 +205,36 @@ class TestMalformedInput:
         assert "op" in response["error"]["message"]
 
     @pytest.mark.parametrize("jobs", ["x", True, 1.9, 0, -1, None])
-    @pytest.mark.parametrize("op", ["analyze", "generate"])
+    @pytest.mark.parametrize("op", ["generate"])
     def test_bad_jobs_is_protocol_error(self, server, op, jobs):
-        request = {"id": 9, "op": op, "jobs": jobs}
-        if op == "analyze":
-            request["sources"] = {"m.py": "x = 1\n"}
-        else:
-            request["templates"] = [TEMPLATE, TEMPLATE]
+        request = {
+            "id": 9, "op": op, "jobs": jobs, "templates": [TEMPLATE, TEMPLATE]
+        }
         [response] = _run(server, [request])
         assert not response["ok"] and response["id"] == 9
         assert response["error"]["type"] == "ProtocolError"
         assert "jobs" in response["error"]["message"]
+
+    @pytest.mark.parametrize("jobs", ["x", 1, 2])
+    def test_analyze_ignores_jobs(self, server, jobs):
+        """``analyze`` is one serial pass; like any field an op does not
+        read, ``jobs`` is ignored and the answer is the plain one."""
+        sources = {
+            "m.py": "from repro.jca import MessageDigest\n"
+            "def f():\n"
+            "    md = MessageDigest.get_instance('MD5')\n"
+            "    return md.digest(b'x')\n"
+        }
+        plain, with_jobs = _run_in_turn(
+            server,
+            [
+                {"id": 1, "op": "analyze", "sources": sources},
+                {"id": 2, "op": "analyze", "sources": sources, "jobs": jobs},
+            ],
+        )
+        assert plain["ok"] and with_jobs["ok"]
+        assert plain["result"]["findings"] == 1
+        assert with_jobs["result"]["modules"] == plain["result"]["modules"]
 
     def test_huge_jobs_is_clamped_to_the_cpu_count(self, server, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -224,8 +243,8 @@ class TestMalformedInput:
             [
                 {
                     "id": 1,
-                    "op": "analyze",
-                    "sources": {"m.py": "x = 1\n"},
+                    "op": "generate",
+                    "templates": [TEMPLATE, TEMPLATE],
                     "jobs": 10**6,
                 },
                 {"id": 2, "op": "health", "probe": False},

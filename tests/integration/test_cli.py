@@ -385,6 +385,27 @@ def test_analyze_sarif_and_json_conflict(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--jobs", "2"], ["--bogus", "x"]], ids=["jobs", "bogus"]
+)
+def test_analyze_usage_error_exits_1_not_2(tmp_path, capsys, flags):
+    """A bad flag is a usage error (1); 2 would read as "findings" to a
+    CI gate. ``analyze`` has no ``--jobs``: it runs one serial pass."""
+    target = tmp_path / "x.py"
+    target.write_text("def f():\n    pass\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *flags, str(target)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analyze_help_lists_no_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--jobs" not in capsys.readouterr().out
+
+
 def test_analyze_empty_directory_is_an_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

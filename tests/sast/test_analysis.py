@@ -223,6 +223,47 @@ class TestRequiredPredicates:
         )
         assert result.is_secure
 
+    FRESH_SALT = (
+        "def fresh_salt():\n"
+        "    salt = bytearray(32)\n"
+        "    r = SecureRandom.get_instance('HMACDRBG')\n"
+        "    r.next_bytes(salt)\n"
+        "    return salt\n"
+    )
+
+    def test_salt_rebound_to_fresh_salt_clean(self, analyzer):
+        """Rebinding drops the old buffer's length fact: the spec sees
+        the helper's randomized 32-byte salt, not ``bytearray(8)``."""
+        result = analyze(
+            analyzer,
+            self.FRESH_SALT + "def f(pwd):\n"
+            "    salt = bytearray(8)\n"
+            "    salt = fresh_salt()\n"
+            "    spec = PBEKeySpec(pwd, salt, 10000, 128)\n",
+        )
+        messages = [f.message for f in result.findings]
+        assert not any("length" in m or "randomized" in m for m in messages)
+
+    def test_salt_rebound_after_the_call_keeps_its_findings(self, analyzer):
+        """A salt judged at the call keeps the facts it had there, even
+        when the variable is rebound later in the function."""
+        result = analyze(
+            analyzer,
+            self.FRESH_SALT + "def f(pwd):\n"
+            "    salt = bytearray(8)\n"
+            "    spec = PBEKeySpec(pwd, salt, 10000, 128)\n"
+            "    salt = fresh_salt()\n",
+        )
+        kinds = sorted(f.kind.value for f in result.findings)
+        assert kinds == [
+            "constraint-violation",
+            "incomplete-operation",
+            "required-predicate",
+        ], result.render()
+        messages = " ".join(f.message for f in result.findings)
+        assert "length[salt] >= 16" in messages
+        assert "randomized[salt]" in messages
+
     def test_predicate_invalidated_by_clear_password(self, analyzer):
         """Using the spec *after* clear_password violates specced_key —
         the NEGATES semantics of Figure 2."""

@@ -1,5 +1,5 @@
 """Whole-project interprocedural analysis: cross-file object flow,
-summaries, determinism of the parallel engine, and the verify gate."""
+summaries, deterministic findings, and the verify gate."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.codegen import CrySLBasedCodeGenerator, VerificationError
 from repro.sast import FindingKind, ProjectAnalyzer
-from repro.sast.project import _components, parse_modules
 from repro.usecases import USE_CASES
 
 WRAPPER = """\
@@ -39,10 +38,6 @@ class Encryptor:
 @pytest.fixture(scope="module")
 def project_analyzer():
     return ProjectAnalyzer()
-
-
-def components(sources):
-    return _components(sources, parse_modules(sources))
 
 
 class TestCrossFileTracking:
@@ -160,71 +155,11 @@ class TestDeterminism:
         ),
     }
 
-    def test_parallel_matches_serial_byte_for_byte(self):
-        from repro.engine import AnalyzeRequest, CryptoGenEngine
-
-        with CryptoGenEngine() as engine:
-            serial = engine.analyze(AnalyzeRequest(sources=self.SOURCES))
-            parallel = engine.analyze(
-                AnalyzeRequest(sources=self.SOURCES, jobs=2)
-            )
-        assert len(components(self.SOURCES)) > 1  # really fans out
-        serial, parallel = serial.analysis, parallel.analysis
-        assert serial.render() == parallel.render()
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_findings_sorted_within_module(self):
         result = ProjectAnalyzer().analyze_sources(self.SOURCES)
         for module_result in result.modules.values():
             lines = [(f.line, f.column) for f in module_result.findings]
             assert lines == sorted(lines)
-
-
-class TestComponents:
-    """The module partition parallel analysis fans out over."""
-
-    def test_shared_defined_name_joins_modules(self):
-        sources = {
-            "a.py": "def helper():\n    return 1\n",
-            "b.py": "def helper():\n    return 2\n",
-        }
-        assert components(sources) == [sources]
-
-    def test_cross_module_reference_joins_modules(self):
-        sources = {
-            "lib.py": "class Box:\n    pass\n",
-            "app.py": "from lib import Box\ndef run():\n    return Box()\n",
-        }
-        assert components(sources) == [sources]
-
-    def test_independent_modules_stay_apart(self):
-        sources = {
-            "a.py": "def one():\n    return 1\n",
-            "b.py": "def two():\n    return 2\n",
-        }
-        assert components(sources) == [
-            {"a.py": sources["a.py"]},
-            {"b.py": sources["b.py"]},
-        ]
-
-    def test_component_order_is_deterministic(self):
-        sources = {
-            "z.py": "def zed():\n    return 0\n",
-            "lib.py": "def shared():\n    return 1\n",
-            "m.py": "def em():\n    return 2\n",
-            "use.py": "from lib import shared\ndef run():\n    return shared()\n",
-        }
-        expected = [["z.py"], ["lib.py", "use.py"], ["m.py"]]
-        for _ in range(3):
-            assert [list(c) for c in components(sources)] == expected
-        # Input order decides component order: each component sits at
-        # its first module's position.
-        reordered = dict(reversed(list(sources.items())))
-        assert [list(c) for c in components(reordered)] == [
-            ["use.py", "lib.py"],
-            ["m.py"],
-            ["z.py"],
-        ]
 
 
 class TestGenerateVerifyGate:
